@@ -158,9 +158,8 @@ class SamplingOperator:
         b = np.asarray(b, dtype=float)
         if b.shape != (self.m,):
             raise ValueError(f"b has shape {b.shape}, expected {(self.m,)}")
-        out = np.zeros((self.n1, self.n2))
-        np.add.at(out, (self.rows, self.cols), b)
-        return out
+        flat = np.bincount(self.rows * self.n2 + self.cols, b, self.n1 * self.n2)
+        return flat.reshape(self.n1, self.n2)
 
 
 LinearOperator = GaussianOperator | SamplingOperator
@@ -201,9 +200,9 @@ def make_operator(
 class ObservationSet:
     """Per-bin operators and observation vectors for one recovery problem.
 
-    All operators share dimensions and variant.  Bin sizes may differ (the
-    ratings pipeline produces uneven bins); the synthetic ``observe`` path
-    always yields a common per-bin count, exposed as ``m0``.
+    All operators share dimensions and variant; each ``y_t`` is stored as a
+    read-only copy.  Bin sizes may differ (the ratings pipeline produces
+    uneven bins); ``observe`` always yields a common count, exposed as ``m0``.
     """
 
     ops: tuple[LinearOperator, ...]
@@ -214,12 +213,13 @@ class ObservationSet:
     def __post_init__(self) -> None:
         if not self.ops or len(self.ops) != len(self.y):
             raise ValueError("ops and y must be nonempty and equal length")
-        first = self.ops[0]
-        for op, y_t in zip(self.ops, self.y):
+        first, ys = self.ops[0], tuple(np.array(v, dtype=float) for v in self.y)
+        for op, y_t in zip(self.ops, ys):
             if (op.n1, op.n2, op.variant) != (first.n1, first.n2, first.variant):
                 raise ValueError("all operators must share dimensions and variant")
-            if np.asarray(y_t).shape != (op.m,):
+            if y_t.shape != (op.m,):
                 raise ValueError("each y_t must have length ops[t].m")
+            y_t.setflags(write=False)
         if self.noise_std < 0:
             raise ValueError("noise_std must be nonnegative")
         if self.truth is not None:
@@ -227,7 +227,7 @@ class ObservationSet:
                 raise ValueError("truth dimensions do not match operators")
             if self.truth.d != len(self.ops):
                 raise ValueError("truth bin count does not match operators")
-        object.__setattr__(self, "y", tuple(np.asarray(v, dtype=float) for v in self.y))
+        object.__setattr__(self, "y", ys)
 
     @property
     def d(self) -> int:

@@ -7,10 +7,10 @@ The estimator minimizes
 over factor pairs ``(U, V)`` of width ``rank``.  Each half-sweep solves one
 factor's weighted least-squares subproblem exactly while the other is held
 fixed, so the objective is nonincreasing along the iteration.  For the
-sampling variant the subproblem decouples into tiny per-row systems; for the
-dense sensing variant it is one stacked ridge system in ``n * rank``
-unknowns, assembled blockwise so replay-mode operators never materialize
-their full sensing stack.
+sampling variant the subproblem decouples into tiny per-row systems, summed
+over a duplicate-merged design cached on the problem; for the dense sensing
+variant it is one stacked ridge system in ``n * rank`` unknowns, assembled
+blockwise so replay-mode operators never materialize their sensing stack.
 """
 
 from __future__ import annotations
@@ -106,18 +106,18 @@ class Solution:
     clip_applied: bool
 
 
-def weighted_misfit(obs: ObservationSet, w: np.ndarray, x: np.ndarray) -> float:
-    """Data-fit term ``0.5 * sum_t w_t * ||A_t(x) - y_t||^2``.
+def _live_bins(obs: ObservationSet, w: np.ndarray) -> list:
+    """``(w_t, op, y_t)`` per bin, skipping bins of exactly zero weight so
+    their observations cannot reach any result, even at floating-point level."""
+    return [bin_ for bin_ in zip(w, obs.ops, obs.y) if bin_[0] != 0.0]
 
-    Bins with exactly zero weight are skipped outright, so their
-    observations cannot influence the value even at floating-point level.
-    """
+
+def weighted_misfit(obs: ObservationSet, w: np.ndarray, x: np.ndarray) -> float:
+    """Data-fit term ``0.5 * sum_t w_t * ||A_t(x) - y_t||^2`` (zero-weight bins
+    skipped)."""
     total = 0.0
-    for t, op in enumerate(obs.ops):
-        w_t = w[t]
-        if w_t == 0.0:
-            continue
-        res = op.apply(x) - obs.y[t]
+    for w_t, op, y_t in _live_bins(obs, w):
+        res = op.apply(x) - y_t
         total += w_t * float(res @ res)
     return 0.5 * total
 
@@ -146,11 +146,8 @@ def init_factors(
     obs, rank = problem.obs, problem.rank
     if mode == "spectral":
         acc = np.zeros((obs.n1, obs.n2))
-        for t, op in enumerate(obs.ops):
-            w_t = problem.weights.w[t]
-            if w_t == 0.0:
-                continue
-            back = op.adjoint(obs.y[t])
+        for w_t, op, y_t in _live_bins(obs, problem.weights.w):
+            back = op.adjoint(y_t)
             if op.variant == "sampling":
                 back = back / op.p
             acc += w_t * back
@@ -179,39 +176,61 @@ def update_U(problem: LowemsProblem, v: np.ndarray) -> np.ndarray:
 
 def _factor_update(problem: LowemsProblem, fixed: np.ndarray, side: str) -> np.ndarray:
     fixed = np.asarray(fixed, dtype=float)
-    if fixed.ndim != 2 or fixed.shape[1] != problem.rank:
-        raise ValueError("fixed factor has the wrong shape")
-    expected_rows = problem.obs.n1 if side == "V" else problem.obs.n2
-    if fixed.shape[0] != expected_rows:
-        raise ValueError("fixed factor has the wrong number of rows")
+    expected = (problem.obs.n1 if side == "V" else problem.obs.n2, problem.rank)
+    if fixed.shape != expected:
+        raise ValueError(f"fixed factor has shape {fixed.shape}, expected {expected}")
     if problem.obs.variant == "sampling":
         return _sampling_update(problem, fixed, side)
     return _sensing_update(problem, fixed, side)
 
 
-def _sampling_update(problem: LowemsProblem, fixed: np.ndarray, side: str) -> np.ndarray:
-    """Per-row normal equations for the sampling variant.
+def _sampling_design(problem: LowemsProblem, side: str) -> tuple:
+    """Sampling observations laid out for solving ``side``, cached on the
+    problem (its inputs are read-only): nonzero-weight bins concatenated, the
+    entries of each ``(out, feat)`` pair merged into ``c = sum w_t`` and ``b =
+    sum w_t * y``, sorted by output row.  ``seen`` lists the output rows that
+    have entries and ``starts`` where each one's segment begins."""
+    cache = problem.__dict__.setdefault("_sampling_design", {})
+    if side not in cache:
+        obs, live = problem.obs, _live_bins(problem.obs, problem.weights.w)
+        rows = np.concatenate([op.rows for _, op, _ in live])
+        cols = np.concatenate([op.cols for _, op, _ in live])
+        out, feat = (cols, rows) if side == "V" else (rows, cols)
+        n_out, n_feat = (obs.n2, obs.n1) if side == "V" else (obs.n1, obs.n2)
+        c = np.concatenate([np.full(op.m, w_t) for w_t, op, _ in live])
+        b = np.concatenate([w_t * y_t for w_t, _, y_t in live])
+        keys, inverse = np.unique(out * n_feat + feat, return_inverse=True)
+        seen, starts = np.unique(keys // n_feat, return_index=True)
+        c, b = np.bincount(inverse, c), np.bincount(inverse, b)
+        cache[side] = (n_out, seen, starts, keys % n_feat, c, b)
+    return cache[side]
 
-    Solving for row ``k`` of the free factor only involves measurements that
-    touch row/column ``k``, so the Gram matrices are ``rank x rank`` and are
-    solved as one batched call.
-    """
-    obs, w, gamma = problem.obs, problem.weights.w, problem.gamma
-    r = fixed.shape[1]
-    n_out = obs.n2 if side == "V" else obs.n1
-    gram = np.zeros((n_out, r, r))
+
+def _sampling_update(problem: LowemsProblem, fixed: np.ndarray, side: str) -> np.ndarray:
+    """Per-row normal equations for the sampling variant: each upper-triangle
+    Gram entry and right-hand-side component is one ``np.add.reduceat`` over
+    the row segments of the cached, duplicate-merged :func:`_sampling_design`."""
+    n_out, seen, starts, feat, c, b = _sampling_design(problem, side)
+    gamma, r = problem.gamma, fixed.shape[1]
+    f = fixed.T.take(feat, axis=1)  # (rank, nnz), rows contiguous for reduceat
+    cf = c * f
+    sums = np.empty((r, r, seen.size))
+    for i in range(r):
+        for j in range(i, r):
+            sums[i, j] = sums[j, i] = np.add.reduceat(cf[i] * f[j], starts)
+    gram = np.zeros((n_out, r, r))  # rows without entries keep a zero Gram matrix
+    gram[seen] = sums.transpose(2, 0, 1)
     rhs = np.zeros((n_out, r))
-    for t, op in enumerate(obs.ops):
-        w_t = w[t]
-        if w_t == 0.0:
-            continue
-        out_idx = op.cols if side == "V" else op.rows
-        feat_idx = op.rows if side == "V" else op.cols
-        f = fixed[feat_idx]
-        np.add.at(gram, out_idx, w_t * (f[:, :, None] * f[:, None, :]))
-        np.add.at(rhs, out_idx, (w_t * obs.y[t])[:, None] * f)
+    rhs[seen] = np.add.reduceat(b * f, starts, axis=1).T
     if gamma > 0.0:
         gram[:, np.arange(r), np.arange(r)] += 2.0 * gamma
+    return _solve_systems(gram, rhs, "per-row")
+
+
+def _solve_systems(gram: np.ndarray, rhs: np.ndarray, kind: str) -> np.ndarray:
+    """Solve the batch ``gram[k] @ x[k] = rhs[k]`` in one call.  If any system
+    is singular (only possible without ridge), warn and solve them one at a
+    time, each singular one by minimum-norm least squares."""
     try:
         out = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
         if np.all(np.isfinite(out)):
@@ -219,12 +238,12 @@ def _sampling_update(problem: LowemsProblem, fixed: np.ndarray, side: str) -> np
     except np.linalg.LinAlgError:
         pass
     warnings.warn(
-        "singular per-row system; using minimum-norm solve",
+        f"singular {kind} system; using minimum-norm solve",
         RankDeficiencyWarning,
-        stacklevel=3,
+        stacklevel=5,
     )
-    out = np.empty((n_out, r))
-    for k in range(n_out):
+    out = np.empty_like(rhs)
+    for k in range(len(rhs)):
         try:
             row = np.linalg.solve(gram[k], rhs[k])
             if not np.all(np.isfinite(row)):
@@ -248,11 +267,7 @@ def _sensing_update(problem: LowemsProblem, fixed: np.ndarray, side: str) -> np.
     k = n_out * r
     gram = np.zeros((k, k))
     rhs = np.zeros(k)
-    for t, op in enumerate(obs.ops):
-        w_t = w[t]
-        if w_t == 0.0:
-            continue
-        y_t = obs.y[t]
+    for w_t, op, y_t in _live_bins(obs, w):
         for start, block in op.iter_blocks():
             mb = block.shape[0]
             if side == "V":
@@ -264,19 +279,7 @@ def _sensing_update(problem: LowemsProblem, fixed: np.ndarray, side: str) -> np.
             rhs += w_t * (dm.T @ y_t[start : start + mb])
     if gamma > 0.0:
         gram[np.arange(k), np.arange(k)] += 2.0 * gamma
-    try:
-        out = np.linalg.solve(gram, rhs)
-        if np.all(np.isfinite(out)):
-            return out.reshape(n_out, r)
-    except np.linalg.LinAlgError:
-        pass
-    warnings.warn(
-        "singular stacked system; using minimum-norm solve",
-        RankDeficiencyWarning,
-        stacklevel=3,
-    )
-    out = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-    return out.reshape(n_out, r)
+    return _solve_systems(gram[None], rhs[None], "stacked")[0].reshape(n_out, r)
 
 
 def solve(
@@ -395,13 +398,10 @@ def check_basic_inequality(
 
     lhs = 0.0
     stoch = np.zeros((obs.n1, obs.n2))
-    for t, op in enumerate(obs.ops):
-        w_t = w[t]
-        if w_t == 0.0:
-            continue
+    for w_t, op, y_t in _live_bins(obs, w):
         a_delta = op.apply(delta)
         lhs += w_t * float(a_delta @ a_delta)
-        stoch += w_t * op.adjoint(op.apply(x_d) - obs.y[t])
+        stoch += w_t * op.adjoint(op.apply(x_d) - y_t)
     rhs = (
         2.0
         * np.sqrt(2.0 * problem.rank)
