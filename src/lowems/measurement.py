@@ -36,22 +36,25 @@ def _block_rows(n1: int, n2: int) -> int:
 
 
 def _gaussian_blocks(
-    source: RandomStream, m: int, n1: int, n2: int
+    source: RandomStream, m: int, n1: int, n2: int, out: np.ndarray | None = None
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(start, block)`` chunks of the sensing stack for a stream.
 
     This is the canonical construction for both stored and replay operators:
     one generator consumed sequentially in fixed-size blocks scaled to entry
-    standard deviation ``1/sqrt(m)``.
+    standard deviation ``1/sqrt(m)``.  With ``out`` (an ``(m, n1, n2)``
+    array) each block is drawn and scaled in place in its rows of ``out``.
     """
     gen = source.generator()
     scale = 1.0 / np.sqrt(m)
     block = _block_rows(n1, n2)
-    start = 0
-    while start < m:
+    for start in range(0, m, block):
         count = min(block, m - start)
-        yield start, gen.standard_normal((count, n1, n2)) * scale
-        start += count
+        chunk = np.empty((count, n1, n2)) if out is None else out[start : start + count]
+        gen.standard_normal(out=chunk)
+        chunk *= scale
+        yield start, chunk
+        del chunk  # a consumer that drops the block frees it before the next draw
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,9 +188,9 @@ def make_operator(
         raise ValueError("dimensions and m must be positive")
     if variant == "gaussian":
         if store:
-            stack = np.concatenate(
-                [block for _, block in _gaussian_blocks(rng, m, n1, n2)], axis=0
-            )
+            stack = np.empty((m, n1, n2))
+            for _ in _gaussian_blocks(rng, m, n1, n2, out=stack):
+                pass
             return GaussianOperator(n1, n2, m, matrices=stack, source=rng)
         return GaussianOperator(n1, n2, m, matrices=None, source=rng)
     gen = rng.generator()

@@ -9,8 +9,11 @@ factor's weighted least-squares subproblem exactly while the other is held
 fixed, so the objective is nonincreasing along the iteration.  For the
 sampling variant the subproblem decouples into tiny per-row systems, summed
 over a duplicate-merged design cached on the problem; for the dense sensing
-variant it is one stacked ridge system in ``n * rank`` unknowns, assembled
-blockwise so replay-mode operators never materialize their sensing stack.
+variant it is one stacked ridge system in ``n * rank`` unknowns.  A sensing
+half-sweep makes one pass over the operator: each block's design rows come
+from one BLAS matmul and are kept (``m * n * rank`` floats per live bin), so
+the candidate's misfit is read from them instead of producing the blocks a
+second time.  Replay-mode operators never materialize their sensing stack.
 """
 
 from __future__ import annotations
@@ -124,12 +127,15 @@ def weighted_misfit(obs: ObservationSet, w: np.ndarray, x: np.ndarray) -> float:
 
 def objective(problem: LowemsProblem, factors: FactorPair) -> float:
     """Full objective (data fit plus ridge) at a factor pair."""
-    val = weighted_misfit(problem.obs, problem.weights.w, factors.product())
+    misfit = weighted_misfit(problem.obs, problem.weights.w, factors.product())
+    return _with_ridge(problem, misfit, factors.U, factors.V)
+
+
+def _with_ridge(problem: LowemsProblem, misfit: float, u: np.ndarray, v: np.ndarray) -> float:
+    """``misfit`` plus the ridge term ``gamma * (||U||_F^2 + ||V||_F^2)``."""
     if problem.gamma > 0.0:
-        val += problem.gamma * (
-            frobenius_norm(factors.U) ** 2 + frobenius_norm(factors.V) ** 2
-        )
-    return val
+        misfit += problem.gamma * (frobenius_norm(u) ** 2 + frobenius_norm(v) ** 2)
+    return misfit
 
 
 def init_factors(
@@ -166,22 +172,28 @@ def init_factors(
 
 def update_V(problem: LowemsProblem, u: np.ndarray) -> np.ndarray:
     """Exact minimizer of the objective over ``V`` with ``U = u`` fixed."""
-    return _factor_update(problem, u, side="V")
+    return _factor_update(problem, u, side="V")[0]
 
 
 def update_U(problem: LowemsProblem, v: np.ndarray) -> np.ndarray:
     """Exact minimizer of the objective over ``U`` with ``V = v`` fixed."""
-    return _factor_update(problem, v, side="U")
+    return _factor_update(problem, v, side="U")[0]
 
 
-def _factor_update(problem: LowemsProblem, fixed: np.ndarray, side: str) -> np.ndarray:
+def _factor_update(
+    problem: LowemsProblem, fixed: np.ndarray, side: str
+) -> tuple[np.ndarray, float]:
+    """The minimizing ``side`` factor and the data-fit term (no ridge) of the
+    pair it forms with ``fixed``."""
     fixed = np.asarray(fixed, dtype=float)
     expected = (problem.obs.n1 if side == "V" else problem.obs.n2, problem.rank)
     if fixed.shape != expected:
         raise ValueError(f"fixed factor has shape {fixed.shape}, expected {expected}")
-    if problem.obs.variant == "sampling":
-        return _sampling_update(problem, fixed, side)
-    return _sensing_update(problem, fixed, side)
+    if problem.obs.variant != "sampling":
+        return _sensing_update(problem, fixed, side)
+    factor = _sampling_update(problem, fixed, side)
+    u, v = (fixed, factor) if side == "V" else (factor, fixed)
+    return factor, weighted_misfit(problem.obs, problem.weights.w, u @ v.T)
 
 
 def _sampling_design(problem: LowemsProblem, side: str) -> tuple:
@@ -228,38 +240,42 @@ def _sampling_update(problem: LowemsProblem, fixed: np.ndarray, side: str) -> np
 
 
 def _solve_systems(gram: np.ndarray, rhs: np.ndarray, kind: str) -> np.ndarray:
-    """Solve the batch ``gram[k] @ x[k] = rhs[k]`` in one call.  If any system
-    is singular (only possible without ridge), warn and solve them one at a
-    time, each singular one by minimum-norm least squares."""
+    """Solve the batch ``gram[k] @ x[k] = rhs[k]`` in one call.  Singular
+    systems (only possible without ridge) and systems with a non-finite
+    solution are solved by minimum-norm least squares, one at a time, with
+    one warning per call; the others stay in one batched solve."""
+    regular = np.ones(len(rhs), dtype=bool)
     try:
         out = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
-        if np.all(np.isfinite(out)):
-            return out
     except np.linalg.LinAlgError:
-        pass
-    warnings.warn(
-        f"singular {kind} system; using minimum-norm solve",
-        RankDeficiencyWarning,
-        stacklevel=5,
-    )
-    out = np.empty_like(rhs)
-    for k in range(len(rhs)):
-        try:
-            row = np.linalg.solve(gram[k], rhs[k])
-            if not np.all(np.isfinite(row)):
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            row = np.linalg.lstsq(gram[k], rhs[k], rcond=None)[0]
-        out[k] = row
+        # a zero sign marks an exactly zero LU pivot: the systems gesv rejects
+        regular = np.linalg.slogdet(gram)[0] != 0.0
+        out = np.zeros_like(rhs)
+        out[regular] = np.linalg.solve(gram[regular], rhs[regular][:, :, None])[:, :, 0]
+    fallback = np.flatnonzero(~regular | ~np.isfinite(out).all(axis=1))
+    if fallback.size:
+        warnings.warn(
+            f"singular {kind} system; using minimum-norm solve",
+            RankDeficiencyWarning,
+            stacklevel=5,
+        )
+        for k in fallback:
+            out[k] = np.linalg.lstsq(gram[k], rhs[k], rcond=None)[0]
     return out
 
 
-def _sensing_update(problem: LowemsProblem, fixed: np.ndarray, side: str) -> np.ndarray:
-    """Stacked ridge least squares for the dense sensing variant.
+def _sensing_update(
+    problem: LowemsProblem, fixed: np.ndarray, side: str
+) -> tuple[np.ndarray, float]:
+    """Stacked ridge least squares for the dense sensing variant, in one pass
+    over the operator.
 
     For ``side == "V"`` the i-th design row is ``A_i^T @ U`` flattened (since
     ``<A_i, U V^T> = <A_i^T U, V>``); for ``side == "U"`` it is ``A_i @ V``.
-    Normal equations are accumulated blockwise and solved once.
+    Each block's rows are one BLAS matmul (the transposed block is read as a
+    view, never copied).  The design of every live bin is kept, ``m * n_out *
+    rank`` floats each, to accumulate the normal equations and then to
+    return the candidate's misfit from its explicit residual ``D_t x - y_t``.
     """
     obs, w, gamma = problem.obs, problem.weights.w, problem.gamma
     r = fixed.shape[1]
@@ -267,19 +283,25 @@ def _sensing_update(problem: LowemsProblem, fixed: np.ndarray, side: str) -> np.
     k = n_out * r
     gram = np.zeros((k, k))
     rhs = np.zeros(k)
+    designs = []
     for w_t, op, y_t in _live_bins(obs, w):
+        design = np.empty((op.m, n_out, r))
         for start, block in op.iter_blocks():
-            mb = block.shape[0]
-            if side == "V":
-                design = np.einsum("mij,ik->mjk", block, fixed)
-            else:
-                design = np.einsum("mij,jk->mik", block, fixed)
-            dm = design.reshape(mb, k)
-            gram += w_t * (dm.T @ dm)
-            rhs += w_t * (dm.T @ y_t[start : start + mb])
+            rows = design[start : start + block.shape[0]]
+            np.matmul(block.transpose(0, 2, 1) if side == "V" else block, fixed, out=rows)
+            del block  # a replayed block is freed before the next one is drawn
+        design = design.reshape(op.m, k)
+        gram += w_t * (design.T @ design)
+        rhs += w_t * (design.T @ y_t)
+        designs.append((w_t, design, y_t))
     if gamma > 0.0:
         gram[np.arange(k), np.arange(k)] += 2.0 * gamma
-    return _solve_systems(gram[None], rhs[None], "stacked")[0].reshape(n_out, r)
+    x = _solve_systems(gram[None], rhs[None], "stacked")[0]
+    misfit = 0.0
+    for w_t, design, y_t in designs:
+        res = design @ x - y_t
+        misfit += w_t * float(res @ res)
+    return x.reshape(n_out, r), 0.5 * misfit
 
 
 def solve(
@@ -314,11 +336,9 @@ def solve(
         sweep_start = current
         stagnated = False
         for side in ("U", "V"):
-            if side == "U":
-                cand_u, cand_v = update_U(problem, v), v
-            else:
-                cand_u, cand_v = u, update_V(problem, u)
-            cand_obj = objective(problem, FactorPair(cand_u, cand_v))
+            factor, misfit = _factor_update(problem, v if side == "U" else u, side)
+            cand_u, cand_v = (factor, v) if side == "U" else (u, factor)
+            cand_obj = _with_ridge(problem, misfit, cand_u, cand_v)
             if not np.isfinite(cand_obj):
                 raise DivergenceError(
                     "objective became non-finite", FactorPair(u, v), trace

@@ -102,6 +102,17 @@ class TestReplayMaterialization:
         for op_orig, op_back in zip(obs.ops, loaded.ops):
             npt.assert_array_equal(op_back.apply(x), op_orig.apply(x))
 
+    def test_stored_and_replay_bundles_round_trip_unchanged(self, tmp_path):
+        stored = _make_observations("gaussian")
+        replay = _make_observations("gaussian", store=False)
+        for name, obs in (("stored", stored), ("replay", replay)):
+            path = tmp_path / f"{name}.npz"
+            save_bundle(path, obs)
+            loaded = load_bundle(path)
+            for t, op_back in enumerate(loaded.ops):
+                npt.assert_array_equal(op_back.matrices, stored.ops[t].matrices)
+                npt.assert_array_equal(loaded.y[t], obs.y[t])
+
 
 class TestFormatGuard:
     def test_unknown_format_version_rejected(self, tmp_path):

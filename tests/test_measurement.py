@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lowems import measurement
 from lowems.core import RandomStream, frobenius_norm
 from lowems.dynamics import generate_truth
 from lowems.measurement import (
@@ -59,6 +60,24 @@ class TestGaussianOperator:
         replay = make_operator("gaussian", n1, n2, m, RandomStream(8), store=False)
         x = RandomStream(9).generator().standard_normal((n1, n2))
         np.testing.assert_array_equal(stored.apply(x), replay.apply(x))
+
+    def test_stored_stack_equals_concatenated_blocks(self, monkeypatch):
+        # m = 17 is not a multiple of the 5-row blocks; the oracle is the
+        # construction the stack was once concatenated from
+        monkeypatch.setattr(measurement, "_block_rows", lambda n1, n2: 5)
+        n1, n2, m = 4, 3, 17
+        stored = make_operator("gaussian", n1, n2, m, RandomStream(12))
+        replay = make_operator("gaussian", n1, n2, m, RandomStream(12), store=False)
+        gen = RandomStream(12).generator()
+        oracle = np.concatenate(
+            [gen.standard_normal((min(5, m - s), n1, n2)) * (1.0 / np.sqrt(m)) for s in range(0, m, 5)]
+        )
+        blocks = list(replay.iter_blocks())
+        assert [start for start, _ in blocks] == [0, 5, 10, 15]
+        np.testing.assert_array_equal(stored.matrices, oracle)
+        np.testing.assert_array_equal(
+            stored.matrices, np.concatenate([block for _, block in blocks])
+        )
 
     def test_validation(self):
         op = make_operator("gaussian", 4, 3, 5, RandomStream(10))
