@@ -3,7 +3,7 @@ low-rank matrix from incomplete noisy observations, with variance-optimal
 time weighting."""
 
 from .bundles import load_bundle, save_bundle
-from .core import RandomStream, frobenius_norm, spectral_norm, top_r_svd
+from .core import RandomStream, frobenius_norm, top_r_svd
 from .dynamics import DynamicGroundTruth, generate_truth, random_orthonormal
 from .experiments import (
     DiagnosticsRow,
@@ -49,7 +49,6 @@ from .weights import (
     baseline_weights,
     kappa_for,
     optimal_weights,
-    solve_weight_qp,
 )
 
 __version__ = "0.1.0"
@@ -94,8 +93,6 @@ __all__ = [
     "run_sample_sweep",
     "save_bundle",
     "solve",
-    "solve_weight_qp",
-    "spectral_norm",
     "strategy_weights",
     "theorem_diagnostics",
     "top_r_svd",

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, ratings
 from .bundles import load_bundle, save_bundle
-from .core import RandomStream
+from .core import FLOAT_FORMAT, RandomStream, write_csv
 from .dynamics import generate_truth
 from .experiments import (
     STRATEGIES,
@@ -32,7 +32,6 @@ from .measurement import VARIANTS, estimate_rip, make_operator, observe
 from .solver import LowemsProblem, solve
 from .weights import WeightVector, baseline_weights, optimal_weights
 
-_FMT = ".17g"
 _REQUIRED = object()
 
 
@@ -117,6 +116,14 @@ def _log_config(command: str, resolved: dict) -> None:
     )
 
 
+def _log_args(args) -> None:
+    """Log a flag-only command's parsed options, keyed by flag destination."""
+    subcommand = ("command", "ratings_command")
+    name = " ".join(getattr(args, k) for k in subcommand if getattr(args, k, None))
+    skip = {"func", *subcommand}
+    _log_config(name, {k: v for k, v in vars(args).items() if k not in skip})
+
+
 def _parse_weights(spec: str, d: int, kappa: float | None) -> WeightVector:
     if spec in ("last", "last_only"):
         return baseline_weights(d, "last_only")
@@ -176,7 +183,7 @@ def _cmd_generate(args) -> int:
     save_bundle(args.out, obs)
     if args.dump_x:
         for t, x in enumerate(truth.X_seq):
-            np.savetxt(f"{args.dump_x}_{t}.csv", x, delimiter=",", fmt=f"%{_FMT}")
+            np.savetxt(f"{args.dump_x}_{t}.csv", x, delimiter=",", fmt=FLOAT_FORMAT)
     print(f"wrote bundle {args.out} (d={obs.d}, m0={obs.m0}, {obs.variant})")
     return 0
 
@@ -187,19 +194,7 @@ def _cmd_generate(args) -> int:
 def _cmd_solve(args) -> int:
     if args.init == "random" and args.seed is None:
         raise UsageError("--init random requires --seed")
-    resolved = {
-        "bundle": args.bundle,
-        "weights": args.weights,
-        "kappa": args.kappa,
-        "rank": args.rank,
-        "gamma": args.gamma,
-        "init": args.init,
-        "max_sweeps": args.max_sweeps,
-        "tol": args.tol,
-        "max_entry": args.max_entry,
-        "seed": args.seed,
-    }
-    _log_config("solve", resolved)
+    _log_args(args)
     try:
         obs = load_bundle(args.bundle)
     except (OSError, KeyError, ValueError) as exc:
@@ -216,16 +211,15 @@ def _cmd_solve(args) -> int:
         init=args.init,
         rng=rng,
     )
-    np.savetxt(args.out_x, solution.X_hat, delimiter=",", fmt=f"%{_FMT}")
+    np.savetxt(args.out_x, solution.X_hat, delimiter=",", fmt=FLOAT_FORMAT)
     if args.out_trace:
-        with open(args.out_trace, "w") as fh:
-            fh.write("step,objective\n")
-            for i, value in enumerate(solution.objective_trace):
-                fh.write(f"{i},{format(value, _FMT)}\n")
+        write_csv(
+            args.out_trace, ["step", "objective"], enumerate(solution.objective_trace)
+        )
     print(
         f"solved in {solution.iterations} sweeps "
         f"(converged={solution.converged}, "
-        f"objective={format(solution.objective_trace[-1], _FMT)})"
+        f"objective={FLOAT_FORMAT % solution.objective_trace[-1]})"
     )
     return 0
 
@@ -266,23 +260,15 @@ def _cmd_sweep_error(args) -> int:
     result = run_error_sweep(cfg)
     result.to_csv(args.out)
     if args.diagnostics_out:
-        rows = theorem_diagnostics(cfg, result)
-        with open(args.diagnostics_out, "w") as fh:
-            fh.write("sigma2,strategy,bound_value,phi_prime,empirical,ratio\n")
-            for row in rows:
-                fh.write(
-                    ",".join(
-                        [
-                            format(row.drift_std, _FMT),
-                            row.strategy,
-                            format(row.bound_value, _FMT),
-                            format(row.phi_prime, _FMT),
-                            format(row.empirical_error, _FMT),
-                            format(row.ratio, _FMT),
-                        ]
-                    )
-                    + "\n"
-                )
+        write_csv(
+            args.diagnostics_out,
+            ["sigma2", "strategy", "bound_value", "phi_prime", "empirical", "ratio"],
+            [
+                [r.drift_std, r.strategy, r.bound_value, r.phi_prime,
+                 r.empirical_error, r.ratio]
+                for r in theorem_diagnostics(cfg, result)
+            ],
+        )
     print(f"wrote {args.out} ({len(result.rows)} rows)")
     return 0
 
@@ -328,15 +314,11 @@ def _cmd_rip_probe(args) -> int:
         for t in range(cfg["d"])
     ]
     estimate = estimate_rip(ops, weights, cfg["rank"], cfg["trials"], root.child(1))
-    print(f"rip_estimate {format(estimate, _FMT)}")
+    print(f"rip_estimate {FLOAT_FORMAT % estimate}")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("variant,n1,n2,d,m0,rank,trials,estimate\n")
-            fh.write(
-                f"{cfg['variant']},{cfg['n1']},{cfg['n2']},{cfg['d']},"
-                f"{cfg['m0']},{cfg['rank']},{cfg['trials']},"
-                f"{format(estimate, _FMT)}\n"
-            )
+        keys = ["variant", "n1", "n2", "d", "m0", "rank", "trials"]
+        row = [cfg[k] for k in keys] + [estimate]
+        write_csv(args.out, keys + ["estimate"], [row])
     return 0
 
 
@@ -344,13 +326,7 @@ def _cmd_rip_probe(args) -> int:
 
 
 def _cmd_ratings_ingest(args) -> int:
-    resolved = {
-        "in": args.infile,
-        "min_user_ratings": args.min_user_ratings,
-        "min_item_ratings": args.min_item_ratings,
-        "out": args.out,
-    }
-    _log_config("ratings ingest", resolved)
+    _log_args(args)
     table = ratings.ingest(args.infile)
     print(
         f"ingested {table.n} ratings, {table.n_users} users, "
@@ -376,43 +352,25 @@ def _load_binned(args) -> ratings.BinnedRatings:
 
 
 def _cmd_ratings_cv(args) -> int:
-    grid = _float_list(args.kappa_grid)
-    resolved = {
-        "in": args.infile,
-        "d": args.d,
-        "rank": args.rank,
-        "gamma": args.gamma,
-        "kappa_grid": list(grid),
-        "folds": args.folds,
-        "test_frac": args.test_frac,
-        "seed": args.seed,
-    }
-    _log_config("ratings cv", resolved)
+    args.kappa_grid = _float_list(args.kappa_grid)
+    _log_args(args)
     binned = _load_binned(args)
     root = RandomStream(args.seed)
     split = ratings.make_split(
         binned, root.child(0), test_frac=args.test_frac, folds=args.folds
     )
     cfg = ratings.FitConfig(rank=args.rank, gamma=args.gamma)
-    result = ratings.cross_validate_kappa(binned, split, grid, cfg, root.child(1))
+    result = ratings.cross_validate_kappa(
+        binned, split, args.kappa_grid, cfg, root.child(1)
+    )
     result.to_csv(args.out)
-    print(f"best_kappa {format(result.best_kappa, _FMT)}")
+    print(f"best_kappa {FLOAT_FORMAT % result.best_kappa}")
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_ratings_eval(args) -> int:
-    resolved = {
-        "in": args.infile,
-        "d": args.d,
-        "rank": args.rank,
-        "gamma": args.gamma,
-        "kappa": args.kappa,
-        "restarts": args.restarts,
-        "test_frac": args.test_frac,
-        "seed": args.seed,
-    }
-    _log_config("ratings eval", resolved)
+    _log_args(args)
     if math.isnan(args.kappa) or args.kappa < 0:
         raise UsageError("--kappa must be nonnegative")
     binned = _load_binned(args)
@@ -426,8 +384,8 @@ def _cmd_ratings_eval(args) -> int:
     )
     result.to_csv(args.out)
     print(
-        f"test_rmse mean {format(float(np.mean(result.rmse)), _FMT)} "
-        f"min {format(float(np.min(result.rmse)), _FMT)} "
+        f"test_rmse mean {FLOAT_FORMAT % np.mean(result.rmse)} "
+        f"min {FLOAT_FORMAT % np.min(result.rmse)} "
         f"(used={result.n_used}, excluded={result.n_excluded})"
     )
     print(f"wrote {args.out}")

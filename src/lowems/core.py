@@ -1,5 +1,5 @@
-"""Numeric primitives shared across the package: keyed random streams and
-small dense-matrix helpers.
+"""Primitives shared across the package: keyed random streams, small
+dense-matrix helpers, and the package's one CSV table writer.
 
 Reproducibility contract
 ------------------------
@@ -10,17 +10,25 @@ bit generator keyed by exactly that pair, so the same pair always replays the
 same variates on any platform.  Independent substreams are derived with
 ``child(k)``, which mixes the index into the stream id with a splitmix64-style
 finalizer; no generator state is ever shared or advanced between call sites.
+
+CSV dialect
+-----------
+Every CSV table the package writes goes through :func:`write_csv`: the csv
+module's default dialect (comma-separated, CRLF record ends) with float
+cells as ``%.17g`` (:data:`FLOAT_FORMAT`), which parses back to the exact
+float64 value.  Dense matrices are written by ``numpy.savetxt`` with the
+same format.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-# Fixed key for internal deterministic helpers (power iteration start vectors).
-_INTERNAL_KEY = 0x1D872B41B5D5C43D
+FLOAT_FORMAT = "%.17g"
 
 
 def _mix64(a: int, b: int) -> int:
@@ -104,30 +112,16 @@ def top_r_svd(m, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u[:, :rank], s[:rank], vt[:rank].T
 
 
-def spectral_norm(m, max_iter: int = 500, tol: float = 1e-13) -> float:
-    """Largest singular value, estimated by power iteration on ``A^T A``.
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows to ``path`` as CSV.
 
-    Deterministic: the start vector comes from a fixed internal stream.  The
-    Rayleigh-quotient estimate converges from below, so callers comparing
-    against it should allow a small relative slack.
+    Float cells (numpy float64 included) are formatted with
+    :data:`FLOAT_FORMAT`; every other cell goes to the csv writer unchanged.
     """
-    a = check_matrix(m, "matrix")
-    scale = np.max(np.abs(a))
-    if scale == 0.0:
-        return 0.0
-    gen = RandomStream(_INTERNAL_KEY, a.shape[0] * 2**32 + a.shape[1]).generator()
-    x = gen.standard_normal(a.shape[1])
-    x /= np.linalg.norm(x)
-    estimate = 0.0
-    for _ in range(max_iter):
-        y = a.T @ (a @ x)
-        norm_y = np.linalg.norm(y)
-        if norm_y == 0.0:
-            return 0.0
-        new_estimate = float(x @ y)  # Rayleigh quotient for A^T A
-        x = y / norm_y
-        if abs(new_estimate - estimate) <= tol * max(abs(new_estimate), 1e-300):
-            estimate = new_estimate
-            break
-        estimate = new_estimate
-    return float(np.sqrt(max(estimate, 0.0)))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [FLOAT_FORMAT % c if isinstance(c, float) else c for c in row]
+            for row in rows
+        )

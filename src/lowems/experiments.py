@@ -10,7 +10,6 @@ thread count.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import RandomStream, check_matrix, frobenius_norm
+from .core import RandomStream, check_matrix, frobenius_norm, write_csv
 from .dynamics import generate_truth
 from .measurement import observe, make_operator
 from .solver import DivergenceError, LowemsProblem, solve
@@ -32,8 +31,6 @@ from .weights import (
 )
 
 STRATEGIES = ("last_only", "equal", "optimal")
-
-_CSV_DIGITS = ".17g"
 
 
 def relative_error(x_hat, x) -> float:
@@ -112,34 +109,19 @@ class SweepResult:
     traces: list = field(default_factory=list, repr=False)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            if self.mode == "error":
-                writer.writerow(
-                    ["sigma2", "strategy", "metric", "value", "stddev", "trials"]
-                )
-                for row in self.rows:
-                    writer.writerow(
-                        [
-                            format(row.drift_std, _CSV_DIGITS),
-                            row.strategy,
-                            row.metric,
-                            format(row.value, _CSV_DIGITS),
-                            format(row.stddev, _CSV_DIGITS),
-                            row.trials,
-                        ]
-                    )
-            else:
-                writer.writerow(["sigma2", "strategy", "min_p"])
-                for row in self.rows:
-                    value = (
-                        "not_achieved"
-                        if row.min_p is None
-                        else format(row.min_p, _CSV_DIGITS)
-                    )
-                    writer.writerow(
-                        [format(row.drift_std, _CSV_DIGITS), row.strategy, value]
-                    )
+        if self.mode == "error":
+            header = ["sigma2", "strategy", "metric", "value", "stddev", "trials"]
+            rows = [
+                [r.drift_std, r.strategy, r.metric, r.value, r.stddev, r.trials]
+                for r in self.rows
+            ]
+        else:
+            header = ["sigma2", "strategy", "min_p"]
+            rows = [
+                [r.drift_std, r.strategy, "not_achieved" if r.min_p is None else r.min_p]
+                for r in self.rows
+            ]
+        write_csv(path, header, rows)
 
 
 def default_p_grid(points: int = 20) -> tuple[float, ...]:
@@ -246,11 +228,8 @@ def run_error_sweep(cfg: SweepConfig) -> SweepResult:
         truth, obs = _cell_data(cfg, drift, cfg.m0, stream)
         return _solve_cell(cfg, obs, truth, drift, stream)
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(work, cells))
-    else:
-        outcomes = [work(cell) for cell in cells]
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        outcomes = list(pool.map(work, cells))
 
     per_cell = dict(zip(cells, (o[0] for o in outcomes)))
     traces = [t for o in outcomes for t in o[1]]
@@ -314,11 +293,8 @@ def run_sample_sweep(cfg: SweepConfig) -> SweepResult:
                 return MinSampleRow(float(drift), strategy, float(p)), traces
         return MinSampleRow(float(drift), strategy, None), traces
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(lane_work, lanes))
-    else:
-        outcomes = [lane_work(lane) for lane in lanes]
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        outcomes = list(pool.map(lane_work, lanes))
     rows = [o[0] for o in outcomes]
     traces = [t for o in outcomes for t in o[1]]
     return SweepResult("samples", rows, cfg, traces)

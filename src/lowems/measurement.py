@@ -101,6 +101,7 @@ class GaussianOperator:
         out = np.empty(self.m)
         for start, block in self.iter_blocks():
             out[start : start + block.shape[0]] = block.reshape(block.shape[0], -1) @ flat
+            del block  # free a replayed block before the next one is drawn
         return out
 
     def adjoint(self, b) -> np.ndarray:
@@ -110,6 +111,7 @@ class GaussianOperator:
         acc = np.zeros(self.n1 * self.n2)
         for start, block in self.iter_blocks():
             acc += b[start : start + block.shape[0]] @ block.reshape(block.shape[0], -1)
+            del block  # free a replayed block before the next one is drawn
         return acc.reshape(self.n1, self.n2)
 
 
@@ -203,9 +205,10 @@ def make_operator(
 class ObservationSet:
     """Per-bin operators and observation vectors for one recovery problem.
 
-    All operators share dimensions and variant; each ``y_t`` is stored as a
-    read-only copy.  Bin sizes may differ (the ratings pipeline produces
-    uneven bins); ``observe`` always yields a common count, exposed as ``m0``.
+    All operators share dimensions and variant; each ``y_t`` must be finite
+    and is stored as a read-only copy.  Bin sizes may differ (the ratings
+    pipeline produces uneven bins); ``observe`` always yields a common count,
+    exposed as ``m0``.
     """
 
     ops: tuple[LinearOperator, ...]
@@ -217,11 +220,13 @@ class ObservationSet:
         if not self.ops or len(self.ops) != len(self.y):
             raise ValueError("ops and y must be nonempty and equal length")
         first, ys = self.ops[0], tuple(np.array(v, dtype=float) for v in self.y)
-        for op, y_t in zip(self.ops, ys):
+        for t, (op, y_t) in enumerate(zip(self.ops, ys)):
             if (op.n1, op.n2, op.variant) != (first.n1, first.n2, first.variant):
                 raise ValueError("all operators must share dimensions and variant")
             if y_t.shape != (op.m,):
                 raise ValueError("each y_t must have length ops[t].m")
+            if not np.all(np.isfinite(y_t)):
+                raise ValueError(f"observations of time bin {t} are not all finite")
             y_t.setflags(write=False)
         if self.noise_std < 0:
             raise ValueError("noise_std must be nonnegative")

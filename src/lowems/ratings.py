@@ -19,8 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import RandomStream
+from .core import RandomStream, write_csv
 from .dynamics import DynamicGroundTruth, generate_truth
+from .experiments import _aggregate
 from .measurement import ObservationSet, SamplingOperator
 from .solver import DivergenceError, LowemsProblem, Solution, solve
 from .weights import optimal_weights
@@ -142,18 +143,8 @@ def ingest(path) -> RatingsTable:
 
 def table_to_csv(table: RatingsTable, path) -> None:
     """Write a table back out in the ingestion format (raw ids)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HEADER)
-        for i in range(table.n):
-            writer.writerow(
-                [
-                    int(table.user_ids[i]),
-                    int(table.item_ids[i]),
-                    format(float(table.ratings[i]), ".17g"),
-                    int(table.timestamps[i]),
-                ]
-            )
+    columns = (table.user_ids, table.item_ids, table.ratings, table.timestamps)
+    write_csv(path, HEADER, zip(*(c.tolist() for c in columns)))
 
 
 def truncate(
@@ -370,17 +361,11 @@ class CrossValidation:
     rows: tuple[CVRow, ...]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["kappa", "mean_val_rmse", "std"])
-            for row in self.rows:
-                writer.writerow(
-                    [
-                        format(row.kappa, ".17g"),
-                        format(row.mean_val_rmse, ".17g"),
-                        format(row.std, ".17g"),
-                    ]
-                )
+        write_csv(
+            path,
+            ["kappa", "mean_val_rmse", "std"],
+            [[r.kappa, r.mean_val_rmse, r.std] for r in self.rows],
+        )
 
 
 def cross_validate_kappa(
@@ -420,17 +405,13 @@ def cross_validate_kappa(
             rmse, used, _ = _score_rows(binned, sol, train, val)
             if used:
                 fold_scores.append(rmse)
-        if fold_scores:
-            arr = np.asarray(fold_scores)
-            mean = float(arr.mean())
-            std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-        else:
+        mean, std, n = _aggregate(fold_scores)
+        if n == 0:
             warnings.warn(
                 f"kappa={kappa} produced no usable folds; excluded",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            mean, std = math.nan, math.nan
         rows.append(CVRow(float(kappa), mean, std))
         if math.isfinite(mean):
             if best is None or mean < best[0] or (mean == best[0] and kappa < best[1]):
@@ -450,11 +431,7 @@ class TestEvaluation:
     n_excluded: int
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["restart", "test_rmse"])
-            for i, value in enumerate(self.rmse):
-                writer.writerow([i, format(float(value), ".17g")])
+        write_csv(path, ["restart", "test_rmse"], enumerate(self.rmse.tolist()))
 
 
 def evaluate_test(

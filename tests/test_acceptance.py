@@ -34,7 +34,8 @@ from lowems.ratings import (
     synthetic_ratings,
 )
 from lowems.solver import LowemsProblem, check_basic_inequality, solve
-from lowems.weights import baseline_weights, optimal_weights, solve_weight_qp
+from lowems.weights import baseline_weights, optimal_weights
+from oracles import solve_weight_qp
 
 
 def _verdict(capsys, n, ok, detail):

@@ -5,6 +5,7 @@ stderr config log can be asserted directly; one smoke test goes through
 ``python -m lowems`` to cover the module entry point.
 """
 
+import csv
 import json
 import subprocess
 import sys
@@ -15,8 +16,16 @@ import pytest
 from lowems.bundles import load_bundle
 from lowems.cli import main
 from lowems.core import RandomStream
-from lowems.experiments import relative_error
+from lowems.experiments import (
+    SweepConfig,
+    relative_error,
+    run_error_sweep,
+    theorem_diagnostics,
+)
+from lowems.measurement import estimate_rip, make_operator
 from lowems.ratings import synthetic_ratings, table_to_csv
+from lowems.solver import LowemsProblem, solve
+from lowems.weights import baseline_weights
 
 
 def _run(capsys, argv):
@@ -32,6 +41,19 @@ def _config_log(err, command):
         if line.startswith(prefix):
             return json.loads(line[len(prefix) :])
     raise AssertionError(f"no config line for {command!r} in {err!r}")
+
+
+def _csv_rows(path):
+    """Records of a CSV file as written by the package: CRLF-terminated,
+    parsed with the csv module."""
+    raw = path.read_bytes()
+    assert raw.endswith(b"\r\n") and raw.count(b"\n") == raw.count(b"\r\n")
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _g(value):
+    return format(value, ".17g")
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +192,20 @@ class TestExitCodes:
         assert code == 1
         assert "--kappa must be nonnegative" in err
 
+    def test_non_finite_bundle_rejected_on_load(self, capsys, bundle_path, tmp_path):
+        with np.load(bundle_path) as data:
+            payload = dict(data)
+        payload["y_1"][3] = np.nan
+        bad = tmp_path / "nan.npz"
+        np.savez(bad, **payload)
+        code, _, err = _run(
+            capsys,
+            ["solve", "--bundle", str(bad), "--weights", "equal", "--rank", "2",
+             "--out-x", str(tmp_path / "x.csv")],
+        )
+        assert code == 1
+        assert "cannot load bundle" in err and "time bin 1" in err
+
     def test_runtime_failure_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("user_id,item_id,rating,timestamp\n1,2\n")
@@ -265,6 +301,23 @@ class TestGenerateSolve:
         assert values.size >= 2
         assert np.all(np.diff(values) <= 1e-12)
 
+    def test_trace_rows_match_library_solve(self, capsys, bundle_path, tmp_path):
+        trace = tmp_path / "trace.csv"
+        code, _, err = _run(
+            capsys,
+            ["solve", "--bundle", str(bundle_path), "--weights", "equal",
+             "--rank", "2", "--out-x", str(tmp_path / "x.csv"),
+             "--out-trace", str(trace)],
+        )
+        assert code == 0
+        problem = LowemsProblem(load_bundle(bundle_path), baseline_weights(2, "equal"), 2)
+        expected = solve(problem).objective_trace
+        assert _csv_rows(trace) == [["step", "objective"]] + [
+            [str(i), _g(v)] for i, v in enumerate(expected)
+        ]
+        logged = _config_log(err, "solve")
+        assert logged["out_trace"] == str(trace) and logged["max_entry"] is None
+
     def test_solved_matrix_tracks_planted_truth(self, capsys, bundle_path, tmp_path):
         out_x = tmp_path / "x.csv"
         code, _, _ = _run(
@@ -309,6 +362,16 @@ class TestSweepCommands:
         diag_lines = diag.read_text().splitlines()
         assert diag_lines[0] == "sigma2,strategy,bound_value,phi_prime,empirical,ratio"
         assert len(diag_lines) == 3
+        cfg = SweepConfig(
+            n1=8, n2=6, rank=2, d=2, m0=48, trials=2, drift_grid=(0.0, 0.1),
+            strategies=("equal",), noise_std=0.02, max_sweeps=80, seed=1,
+        )
+        rows = theorem_diagnostics(cfg, run_error_sweep(cfg))
+        assert _csv_rows(diag)[1:] == [
+            [_g(r.drift_std), r.strategy, _g(r.bound_value), _g(r.phi_prime),
+             _g(r.empirical_error), _g(r.ratio)]
+            for r in rows
+        ]
 
     def test_sweep_samples_reports_not_achieved(self, capsys, tmp_path):
         out = tmp_path / "samples.csv"
@@ -344,6 +407,13 @@ class TestRipProbe:
         lines = out.read_text().splitlines()
         assert lines[0] == "variant,n1,n2,d,m0,rank,trials,estimate"
         assert lines[1].startswith("gaussian,10,10,1,150,2,5,")
+        root = RandomStream(3)
+        ops = [make_operator("gaussian", 10, 10, 150, root.child(0).child(0))]
+        expected = estimate_rip(ops, baseline_weights(1, "equal"), 2, 5, root.child(1))
+        assert _csv_rows(out) == [
+            ["variant", "n1", "n2", "d", "m0", "rank", "trials", "estimate"],
+            ["gaussian", "10", "10", "1", "150", "2", "5", _g(expected)],
+        ]
 
 
 class TestRatingsPipeline:
@@ -369,13 +439,20 @@ class TestRatingsPipeline:
 
     def test_cv_writes_grid_csv(self, capsys, ratings_csv, tmp_path):
         out = tmp_path / "cv.csv"
-        code, stdout, _ = _run(
+        code, stdout, err = _run(
             capsys,
             ["ratings", "cv", "--in", str(ratings_csv), "--d", "2",
              "--rank", "2", "--kappa-grid", "0.1,10", "--folds", "2",
              "--out", str(out), "--seed", "5"],
         )
         assert code == 0
+        logged = _config_log(err, "ratings cv")
+        assert logged == {
+            "infile": str(ratings_csv), "d": 2, "rank": 2, "gamma": 1.0,
+            "kappa_grid": [0.1, 10.0], "folds": 2, "test_frac": 0.1,
+            "out": str(out), "seed": 5,
+        }
+        assert all(type(k) is float for k in logged["kappa_grid"])
         best = [l for l in stdout.splitlines() if l.startswith("best_kappa")]
         assert float(best[0].split()[1]) in (0.1, 10.0)
         lines = out.read_text().splitlines()

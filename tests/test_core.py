@@ -1,3 +1,6 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 
@@ -5,8 +8,8 @@ from lowems.core import (
     RandomStream,
     check_matrix,
     frobenius_norm,
-    spectral_norm,
     top_r_svd,
+    write_csv,
 )
 
 
@@ -140,15 +143,38 @@ class TestTopRSvd:
             top_r_svd(bad, 1)
 
 
-class TestSpectralNorm:
-    def test_matches_svd(self):
-        for seed in range(5):
-            m = RandomStream(30 + seed).generator().standard_normal((12, 9))
-            expected = float(np.linalg.svd(m, compute_uv=False)[0])
-            assert spectral_norm(m) == pytest.approx(expected, rel=1e-9)
+class TestWriteCsv:
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "out.csv"
+        rows = [
+            [1, 0.1, "x", math.nan],
+            [np.int64(-2), np.float64(1.0 / 3.0), "y,z", -math.inf],
+            [3, 1e300, "not_achieved", -0.0],
+        ]
+        write_csv(path, ["i", "f", "s", "g"], rows)
+        assert path.read_bytes() == (
+            b"i,f,s,g\r\n"
+            b"1,0.10000000000000001,x,nan\r\n"
+            b'-2,0.33333333333333331,"y,z",-inf\r\n'
+            b"3,1.0000000000000001e+300,not_achieved,-0\r\n"
+        )
 
-    def test_zero_matrix(self):
-        assert spectral_norm(np.zeros((4, 5))) == 0.0
+    def test_floats_round_trip_exactly(self, tmp_path):
+        path = tmp_path / "out.csv"
+        values = RandomStream(50).generator().standard_normal(200) * 10.0 ** np.arange(-100, 100)
+        values = np.append(values, [math.nan, math.inf, 5e-324])
+        write_csv(path, ["k", "value"], enumerate(values))
+        with open(path, newline="") as fh:
+            parsed = list(csv.reader(fh))
+        assert parsed[0] == ["k", "value"]
+        assert [int(r[0]) for r in parsed[1:]] == list(range(values.size))
+        back = np.array([float(r[1]) for r in parsed[1:]])
+        np.testing.assert_array_equal(back, values)  # nan compares equal here
+
+    def test_non_float_cells_unchanged(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, ["a", "b"], [[10**20, "0.1"], [np.int64(7), "1e300"]])
+        assert path.read_bytes() == b"a,b\r\n100000000000000000000,0.1\r\n7,1e300\r\n"
 
 
 def test_check_matrix_rejects_bad_input():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,26 @@ class TestGaussianOperator:
         np.testing.assert_array_equal(
             stored.matrices, np.concatenate([block for _, block in blocks])
         )
+
+    @pytest.mark.parametrize("method", ["apply", "adjoint"])
+    def test_replay_keeps_one_block_alive(self, monkeypatch, method):
+        # 40-row blocks of 30x30 float64 (288 kB); m = 400 draws ten of them
+        monkeypatch.setattr(measurement, "_block_rows", lambda n1, n2: 40)
+        n1, n2, m = 30, 30, 400
+        block_bytes = 40 * n1 * n2 * 8
+        stored = make_operator("gaussian", n1, n2, m, RandomStream(13))
+        replay = make_operator("gaussian", n1, n2, m, RandomStream(13), store=False)
+        gen = RandomStream(14).generator()
+        arg = gen.standard_normal((n1, n2)) if method == "apply" else gen.standard_normal(m)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = getattr(replay, method)(arg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * block_bytes
+        np.testing.assert_array_equal(result, getattr(stored, method)(arg))
 
     def test_validation(self):
         op = make_operator("gaussian", 4, 3, 5, RandomStream(10))
@@ -195,6 +217,14 @@ class TestObservationSet:
         obs = ObservationSet(ops=(a, b), y=(np.zeros(6), np.zeros(9)), noise_std=0.0)
         assert obs.m0 is None
         assert obs.d == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_observations_naming_the_bin(self, bad):
+        ops = tuple(make_operator("sampling", 4, 4, 6, RandomStream(46).child(t)) for t in range(3))
+        y = [np.zeros(6), np.zeros(6), np.zeros(6)]
+        y[1][4] = bad
+        with pytest.raises(ValueError, match="time bin 1 "):
+            ObservationSet(ops=ops, y=tuple(y), noise_std=0.0)
 
     def test_common_m0_reported(self):
         ops = tuple(make_operator("sampling", 4, 4, 6, RandomStream(45).child(t)) for t in range(2))

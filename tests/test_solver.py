@@ -258,10 +258,10 @@ class TestSolve:
     def test_non_finite_data_raises_divergence_error(self):
         problem, _ = _planted_problem(seed=216)
         bad_y = list(problem.obs.y)
-        bad_y[0] = np.full_like(bad_y[0], np.inf)
+        bad_y[0] = np.full_like(bad_y[0], 1e300)  # finite; its squares overflow
         obs = ObservationSet(problem.obs.ops, tuple(bad_y), problem.obs.noise_std)
         prob = LowemsProblem(obs, problem.weights, rank=2)
-        with pytest.raises(DivergenceError) as err:
+        with pytest.raises(DivergenceError) as err, np.errstate(over="ignore"):
             solve(prob, init="random", rng=RandomStream(1))
         assert isinstance(err.value.factors, FactorPair)
         assert err.value.trace.size == 0
@@ -313,6 +313,20 @@ class TestBasicInequality:
             assert np.isfinite(report.lhs) and np.isfinite(report.rhs)
             if report.premise_holds:
                 assert report.inequality_holds
+
+    def test_rhs_uses_exact_spectral_norm(self):
+        problem, truth = _planted_problem(noise_std=0.1, m0=100, seed=221)
+        sol = solve(problem, max_sweeps=20)
+        report = check_basic_inequality(sol, truth, problem)
+        x_d = truth.X_seq[-1]
+        stoch = sum(
+            w_t * op.adjoint(op.apply(x_d) - y_t)
+            for w_t, op, y_t in zip(problem.weights.w, problem.obs.ops, problem.obs.y)
+        )
+        sigma_max = np.linalg.svd(stoch, compute_uv=False)[0]
+        delta = sol.factors.product() - x_d
+        expected = 2.0 * np.sqrt(2.0 * problem.rank) * sigma_max * np.linalg.norm(delta)
+        assert report.rhs == pytest.approx(expected, rel=1e-12)
 
     def test_requires_truth(self):
         problem, _ = _planted_problem(seed=220)

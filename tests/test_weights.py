@@ -10,8 +10,8 @@ from lowems.weights import (
     kappa_for,
     lag_profile,
     optimal_weights,
-    solve_weight_qp,
 )
+from oracles import solve_weight_qp
 
 
 def _grid_search_oracle(d, kappa, step):
