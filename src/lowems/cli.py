@@ -1,16 +1,19 @@
 """Command-line front end.
 
 Subcommands: ``generate``, ``solve``, ``sweep-error``, ``sweep-samples``,
-``rip-probe``, and ``ratings {ingest,cv,eval}``.  Dimension-heavy commands
-accept a flat JSON config file via ``--config``; explicit flags override
-file values.  Every randomized command requires ``--seed`` (there is no
-wall-clock seeding), and every run logs its fully resolved configuration to
-stderr.  Exit codes: 0 success, 1 usage error, 2 runtime failure.
+``rip-probe``, and ``ratings {ingest,cv,eval}``.  Every option is declared
+once, in argparse.  Dimension-heavy commands also accept a flat JSON config
+file via ``--config``, whose values go through the same options' types and
+choices; explicit flags override file values.  NaN in a float option is a
+usage error.  Every randomized command requires ``--seed`` (there is no
+wall-clock seeding), and every run logs its parsed options to stderr as one
+strict-JSON line.  Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -32,18 +35,9 @@ from .measurement import VARIANTS, estimate_rip, make_operator, observe
 from .solver import LowemsProblem, solve
 from .weights import WeightVector, baseline_weights, optimal_weights
 
-_REQUIRED = object()
-
 
 class UsageError(Exception):
     """Bad invocation (missing/invalid options): exit code 1."""
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; the contract here is 1.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _float_list(value) -> tuple[float, ...]:
@@ -59,69 +53,104 @@ def _str_list(value) -> tuple[str, ...]:
     return tuple(str(v) for v in value)
 
 
-_COERCE = {
-    "int": int,
-    "float": float,
-    "str": str,
-    "floats": _float_list,
-    "strs": _str_list,
-}
+class _Parser(argparse.ArgumentParser):
+    """argparse with the CLI's exit codes and its ``--config FILE``.
 
-
-def _merge_config(args, spec: list[tuple[str, str, object]]) -> dict:
-    """Resolve options from (flags > config file > defaults).
-
-    ``spec`` rows are (key, type, default); ``_REQUIRED`` marks mandatory
-    keys.  Flag attribute names use underscores for dashed keys.
+    Options declared with :meth:`add_config_option` may also be set by the
+    JSON object in ``--config FILE``.  The file's values are put into the
+    namespace before the command line is parsed into it; argparse fills in
+    a declared default only where the namespace has no value and a flag
+    overwrites any value, so precedence is flag > file > default.
     """
-    file_cfg = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.config_options: dict[str, argparse.Action] = {}
+        self.required_options: list[argparse.Action] = []
+
+    # argparse exits 2 on usage errors by default; the contract here is 1.
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def add_config_option(self, *flags, required=False, **kwargs):
+        """Declare an option that ``--config`` may also set.  ``required``
+        is checked after parsing, since either a flag or the file may
+        supply the value."""
+        action = self.add_argument(*flags, **kwargs)
+        self.config_options[action.dest] = action
+        if required:
+            self.required_options.append(action)
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.config_options:
+            path = super().parse_known_args(args)[0].config
+            if path is not None:
+                namespace = namespace or argparse.Namespace()
+                for key, value in self._read_config(path).items():
+                    setattr(namespace, key, value)
+        namespace, extras = super().parse_known_args(args, namespace)
+        for action in self.required_options:
+            if getattr(namespace, action.dest) is None:
+                raise UsageError(f"missing required option {action.option_strings[0]}")
+        # Every float option is nonnegative; NaN, which fails any comparison,
+        # is refused here for flags and file values alike.
+        for action in self._actions:
+            value = getattr(namespace, action.dest, None)
+            if action.type not in (float, _float_list) or value is None:
+                continue
+            if np.isnan(value).any():
+                flag = action.option_strings[0]
+                raise UsageError(f"{flag} must be nonnegative, not nan")
+        return namespace, extras
+
+    def _read_config(self, path) -> dict:
+        """The file's values, each passed through its option's ``type`` and
+        checked against its ``choices``."""
         try:
-            with open(config_path) as fh:
-                file_cfg = json.load(fh)
+            with open(path) as fh:
+                values = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {config_path}: {exc}") from None
-        if not isinstance(file_cfg, dict):
+            raise UsageError(f"cannot read config {path}: {exc}") from None
+        if not isinstance(values, dict):
             raise UsageError("config file must hold a JSON object")
-        known = {key for key, _, _ in spec}
-        unknown = set(file_cfg) - known
+        unknown = set(values) - set(self.config_options)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    resolved = {}
-    for key, typ, default in spec:
-        coerce = _COERCE[typ]
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            resolved[key] = coerce(flag_value)
-        elif key in file_cfg:
+        for key, value in values.items():
+            action = self.config_options[key]
             try:
-                resolved[key] = coerce(file_cfg[key])
+                if action.type is not None:
+                    value = action.type(value)
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError(f"{value!r} is not one of {list(action.choices)}")
             except (TypeError, ValueError) as exc:
                 raise UsageError(f"config key {key!r}: {exc}") from None
-        elif default is _REQUIRED:
-            raise UsageError(f"missing required option --{key.replace('_', '-')}")
-        else:
-            resolved[key] = default
-    return resolved
+            values[key] = value
+        return values
 
 
-def _log_config(command: str, resolved: dict) -> None:
-    printable = {
-        k: (list(v) if isinstance(v, tuple) else v) for k, v in resolved.items()
-    }
-    print(
-        f"[lowems {command}] config: {json.dumps(printable, sort_keys=True)}",
-        file=sys.stderr,
-    )
+def _json_value(value):
+    if isinstance(value, (tuple, list)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, float) and math.isinf(value):
+        return str(value)  # "inf" / "-inf": strict JSON has no infinity
+    return value
 
 
-def _log_args(args) -> None:
-    """Log a flag-only command's parsed options, keyed by flag destination."""
+def _log_config(args) -> None:
+    """Log the parsed options under their argparse destinations as one
+    strict-JSON line."""
     subcommand = ("command", "ratings_command")
     name = " ".join(getattr(args, k) for k in subcommand if getattr(args, k, None))
     skip = {"func", *subcommand}
-    _log_config(name, {k: v for k, v in vars(args).items() if k not in skip})
+    options = {k: _json_value(v) for k, v in vars(args).items() if k not in skip}
+    print(
+        f"[lowems {name}] config: "
+        f"{json.dumps(options, sort_keys=True, allow_nan=False)}",
+        file=sys.stderr,
+    )
 
 
 def _parse_weights(spec: str, d: int, kappa: float | None) -> WeightVector:
@@ -151,35 +180,18 @@ def _parse_weights(spec: str, d: int, kappa: float | None) -> WeightVector:
 # ---------------------------------------------------------------- generate
 
 
-_GENERATE_SPEC = [
-    ("n1", "int", _REQUIRED),
-    ("n2", "int", _REQUIRED),
-    ("rank", "int", _REQUIRED),
-    ("d", "int", _REQUIRED),
-    ("m0", "int", _REQUIRED),
-    ("noise_std", "float", 0.05),
-    ("drift_std", "float", 0.0),
-    ("variant", "str", "sampling"),
-]
-
-
 def _cmd_generate(args) -> int:
-    cfg = _merge_config(args, _GENERATE_SPEC)
-    cfg["seed"] = args.seed
-    _log_config("generate", cfg)
-    if cfg["variant"] not in VARIANTS:
-        raise UsageError(f"variant must be one of {VARIANTS}")
     root = RandomStream(args.seed)
     truth = generate_truth(
-        cfg["n1"], cfg["n2"], cfg["rank"], cfg["d"], cfg["drift_std"], root.child(0)
+        args.n1, args.n2, args.rank, args.d, args.drift_std, root.child(0)
     )
     ops = [
         make_operator(
-            cfg["variant"], cfg["n1"], cfg["n2"], cfg["m0"], root.child(1).child(t)
+            args.variant, args.n1, args.n2, args.m0, root.child(1).child(t)
         )
-        for t in range(cfg["d"])
+        for t in range(args.d)
     ]
-    obs = observe(ops, truth, cfg["noise_std"], root.child(2))
+    obs = observe(ops, truth, args.noise_std, root.child(2))
     save_bundle(args.out, obs)
     if args.dump_x:
         for t, x in enumerate(truth.X_seq):
@@ -194,7 +206,6 @@ def _cmd_generate(args) -> int:
 def _cmd_solve(args) -> int:
     if args.init == "random" and args.seed is None:
         raise UsageError("--init random requires --seed")
-    _log_args(args)
     try:
         obs = load_bundle(args.bundle)
     except (OSError, KeyError, ValueError) as exc:
@@ -227,36 +238,13 @@ def _cmd_solve(args) -> int:
 # ------------------------------------------------------------------ sweeps
 
 
-_SWEEP_COMMON = [
-    ("n1", "int", _REQUIRED),
-    ("n2", "int", _REQUIRED),
-    ("rank", "int", _REQUIRED),
-    ("d", "int", _REQUIRED),
-    ("noise_std", "float", 0.05),
-    ("drift_grid", "floats", _REQUIRED),
-    ("strategies", "strs", STRATEGIES),
-    ("trials", "int", 10),
-    ("variant", "str", "sampling"),
-    ("gamma", "float", 0.0),
-    ("init", "str", "spectral"),
-    ("max_sweeps", "int", 500),
-    ("tol", "float", 1e-8),
-]
-
-
-def _sweep_config(args, extra: list[tuple[str, str, object]]) -> SweepConfig:
-    cfg = _merge_config(args, _SWEEP_COMMON + extra)
-    cfg["seed"] = args.seed
-    cfg["threads"] = args.threads
-    _log_config(args.command, cfg)
-    try:
-        return SweepConfig(**cfg)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from None
+def _sweep_config(args) -> SweepConfig:
+    fields = {f.name for f in dataclasses.fields(SweepConfig)}
+    return SweepConfig(**{k: v for k, v in vars(args).items() if k in fields})
 
 
 def _cmd_sweep_error(args) -> int:
-    cfg = _sweep_config(args, [("m0", "int", _REQUIRED)])
+    cfg = _sweep_config(args)
     result = run_error_sweep(cfg)
     result.to_csv(args.out)
     if args.diagnostics_out:
@@ -274,11 +262,7 @@ def _cmd_sweep_error(args) -> int:
 
 
 def _cmd_sweep_samples(args) -> int:
-    cfg = _sweep_config(
-        args,
-        [("p_grid", "floats", None), ("success_threshold", "float", 0.04)],
-    )
-    result = run_sample_sweep(cfg)
+    result = run_sample_sweep(_sweep_config(args))
     result.to_csv(args.out)
     print(f"wrote {args.out} ({len(result.rows)} rows)")
     return 0
@@ -287,37 +271,20 @@ def _cmd_sweep_samples(args) -> int:
 # --------------------------------------------------------------- rip-probe
 
 
-_RIP_SPEC = [
-    ("n1", "int", _REQUIRED),
-    ("n2", "int", _REQUIRED),
-    ("m0", "int", _REQUIRED),
-    ("d", "int", 1),
-    ("rank", "int", _REQUIRED),
-    ("trials", "int", 100),
-    ("variant", "str", "gaussian"),
-]
-
-
 def _cmd_rip_probe(args) -> int:
-    cfg = _merge_config(args, _RIP_SPEC)
-    cfg["seed"] = args.seed
-    cfg["weights"] = args.weights
-    _log_config("rip-probe", cfg)
-    if cfg["variant"] not in VARIANTS:
-        raise UsageError(f"variant must be one of {VARIANTS}")
-    weights = _parse_weights(args.weights, cfg["d"], args.kappa)
+    weights = _parse_weights(args.weights, args.d, args.kappa)
     root = RandomStream(args.seed)
     ops = [
         make_operator(
-            cfg["variant"], cfg["n1"], cfg["n2"], cfg["m0"], root.child(0).child(t)
+            args.variant, args.n1, args.n2, args.m0, root.child(0).child(t)
         )
-        for t in range(cfg["d"])
+        for t in range(args.d)
     ]
-    estimate = estimate_rip(ops, weights, cfg["rank"], cfg["trials"], root.child(1))
+    estimate = estimate_rip(ops, weights, args.rank, args.trials, root.child(1))
     print(f"rip_estimate {FLOAT_FORMAT % estimate}")
     if args.out:
         keys = ["variant", "n1", "n2", "d", "m0", "rank", "trials"]
-        row = [cfg[k] for k in keys] + [estimate]
+        row = [getattr(args, k) for k in keys] + [estimate]
         write_csv(args.out, keys + ["estimate"], [row])
     return 0
 
@@ -326,7 +293,6 @@ def _cmd_rip_probe(args) -> int:
 
 
 def _cmd_ratings_ingest(args) -> int:
-    _log_args(args)
     table = ratings.ingest(args.infile)
     print(
         f"ingested {table.n} ratings, {table.n_users} users, "
@@ -352,8 +318,6 @@ def _load_binned(args) -> ratings.BinnedRatings:
 
 
 def _cmd_ratings_cv(args) -> int:
-    args.kappa_grid = _float_list(args.kappa_grid)
-    _log_args(args)
     binned = _load_binned(args)
     root = RandomStream(args.seed)
     split = ratings.make_split(
@@ -370,8 +334,7 @@ def _cmd_ratings_cv(args) -> int:
 
 
 def _cmd_ratings_eval(args) -> int:
-    _log_args(args)
-    if math.isnan(args.kappa) or args.kappa < 0:
+    if args.kappa < 0:
         raise UsageError("--kappa must be nonnegative")
     binned = _load_binned(args)
     root = RandomStream(args.seed)
@@ -406,15 +369,13 @@ def build_parser() -> _Parser:
     gen = sub.add_parser("generate", help="generate a synthetic observation bundle")
     gen.add_argument("--config", help="JSON config file")
     for key in ("n1", "n2", "rank", "d", "m0"):
-        gen.add_argument(f"--{key}", type=int)
-    gen.add_argument("--noise-std", dest="noise_std", type=float)
-    gen.add_argument("--drift-std", dest="drift_std", type=float)
-    gen.add_argument("--variant", choices=VARIANTS)
+        gen.add_config_option(f"--{key}", type=int, required=True)
+    gen.add_config_option("--noise-std", type=float, default=0.05)
+    gen.add_config_option("--drift-std", type=float, default=0.0)
+    gen.add_config_option("--variant", choices=VARIANTS, default="sampling")
     gen.add_argument("--out", required=True, help="output bundle (.npz)")
     gen.add_argument(
-        "--dump-x",
-        dest="dump_x",
-        help="also write the planted matrices to PREFIX_t.csv",
+        "--dump-x", help="also write the planted matrices to PREFIX_t.csv"
     )
     add_seed(gen)
     gen.set_defaults(func=_cmd_generate)
@@ -426,11 +387,11 @@ def build_parser() -> _Parser:
     slv.add_argument("--rank", type=int, required=True)
     slv.add_argument("--gamma", type=float, default=0.0)
     slv.add_argument("--init", choices=("spectral", "random"), default="spectral")
-    slv.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=500)
+    slv.add_argument("--max-sweeps", type=int, default=500)
     slv.add_argument("--tol", type=float, default=1e-8)
-    slv.add_argument("--max-entry", dest="max_entry", type=float)
-    slv.add_argument("--out-x", dest="out_x", required=True)
-    slv.add_argument("--out-trace", dest="out_trace")
+    slv.add_argument("--max-entry", type=float)
+    slv.add_argument("--out-x", required=True)
+    slv.add_argument("--out-trace")
     add_seed(slv, required=False)
     slv.set_defaults(func=_cmd_solve)
 
@@ -438,38 +399,45 @@ def build_parser() -> _Parser:
         "sweep-error": "recovery error vs drift level, CSV output",
         "sweep-samples": "minimal sampling density vs drift level, CSV output",
     }
-    for name, func, extra in (
-        ("sweep-error", _cmd_sweep_error, ("m0",)),
-        ("sweep-samples", _cmd_sweep_samples, ()),
+    for name, func in (
+        ("sweep-error", _cmd_sweep_error),
+        ("sweep-samples", _cmd_sweep_samples),
     ):
         sw = sub.add_parser(name, help=sweep_help[name])
         sw.add_argument("--config", help="JSON config file")
-        for key in ("n1", "n2", "rank", "d", "trials", "max_sweeps") + extra:
-            sw.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
-        sw.add_argument("--noise-std", dest="noise_std", type=float)
-        sw.add_argument("--drift-grid", dest="drift_grid")
-        sw.add_argument("--strategies")
-        sw.add_argument("--variant", choices=VARIANTS)
-        sw.add_argument("--gamma", type=float)
-        sw.add_argument("--init", choices=("spectral", "random"))
-        sw.add_argument("--tol", type=float)
+        for key in ("n1", "n2", "rank", "d"):
+            sw.add_config_option(f"--{key}", type=int, required=True)
+        if name == "sweep-error":
+            sw.add_config_option("--m0", type=int, required=True)
+        sw.add_config_option("--noise-std", type=float, default=0.05)
+        sw.add_config_option("--drift-grid", type=_float_list, required=True)
+        sw.add_config_option("--strategies", type=_str_list, default=STRATEGIES)
+        sw.add_config_option("--trials", type=int, default=10)
+        sw.add_config_option("--variant", choices=VARIANTS, default="sampling")
+        sw.add_config_option("--gamma", type=float, default=0.0)
+        sw.add_config_option(
+            "--init", choices=("spectral", "random"), default="spectral"
+        )
+        sw.add_config_option("--max-sweeps", type=int, default=500)
+        sw.add_config_option("--tol", type=float, default=1e-8)
         sw.add_argument("--threads", type=int, default=1)
         sw.add_argument("--out", required=True)
         if name == "sweep-error":
-            sw.add_argument("--diagnostics-out", dest="diagnostics_out")
+            sw.add_argument("--diagnostics-out")
         else:
-            sw.add_argument("--p-grid", dest="p_grid")
-            sw.add_argument(
-                "--success-threshold", dest="success_threshold", type=float
-            )
+            sw.add_config_option("--p-grid", type=_float_list)
+            sw.add_config_option("--success-threshold", type=float, default=0.04)
         add_seed(sw)
         sw.set_defaults(func=func)
 
     rip = sub.add_parser("rip-probe", help="empirical restricted-isometry probe")
     rip.add_argument("--config", help="JSON config file")
-    for key in ("n1", "n2", "m0", "d", "rank", "trials"):
-        rip.add_argument(f"--{key}", type=int)
-    rip.add_argument("--variant", choices=VARIANTS)
+    for key in ("n1", "n2", "m0"):
+        rip.add_config_option(f"--{key}", type=int, required=True)
+    rip.add_config_option("--d", type=int, default=1)
+    rip.add_config_option("--rank", type=int, required=True)
+    rip.add_config_option("--trials", type=int, default=100)
+    rip.add_config_option("--variant", choices=VARIANTS, default="gaussian")
     rip.add_argument("--weights", default="equal")
     rip.add_argument("--kappa", type=float)
     rip.add_argument("--out")
@@ -481,12 +449,8 @@ def build_parser() -> _Parser:
 
     ing = rat_sub.add_parser("ingest", help="parse/clean a ratings CSV")
     ing.add_argument("--in", dest="infile", required=True)
-    ing.add_argument(
-        "--min-user-ratings", dest="min_user_ratings", type=int, default=1
-    )
-    ing.add_argument(
-        "--min-item-ratings", dest="min_item_ratings", type=int, default=1
-    )
+    ing.add_argument("--min-user-ratings", type=int, default=1)
+    ing.add_argument("--min-item-ratings", type=int, default=1)
     ing.add_argument("--out")
     ing.set_defaults(func=_cmd_ratings_ingest)
 
@@ -496,12 +460,10 @@ def build_parser() -> _Parser:
     cv.add_argument("--rank", type=int, required=True)
     cv.add_argument("--gamma", type=float, default=1.0)
     cv.add_argument(
-        "--kappa-grid",
-        dest="kappa_grid",
-        default="0,0.001,0.01,0.1,1,10,100,1000",
+        "--kappa-grid", type=_float_list, default="0,0.001,0.01,0.1,1,10,100,1000"
     )
     cv.add_argument("--folds", type=int, default=5)
-    cv.add_argument("--test-frac", dest="test_frac", type=float, default=0.10)
+    cv.add_argument("--test-frac", type=float, default=0.10)
     cv.add_argument("--out", required=True)
     add_seed(cv)
     cv.set_defaults(func=_cmd_ratings_cv)
@@ -513,7 +475,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--gamma", type=float, default=1.0)
     ev.add_argument("--kappa", type=float, required=True)
     ev.add_argument("--restarts", type=int, default=10)
-    ev.add_argument("--test-frac", dest="test_frac", type=float, default=0.10)
+    ev.add_argument("--test-frac", type=float, default=0.10)
     ev.add_argument("--out", required=True)
     add_seed(ev)
     ev.set_defaults(func=_cmd_ratings_eval)
@@ -523,11 +485,12 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if not hasattr(args, "func"):
-        parser.print_usage(sys.stderr)
-        return 1
     try:
+        args = parser.parse_args(argv)
+        if not hasattr(args, "func"):
+            parser.print_usage(sys.stderr)
+            return 1
+        _log_config(args)
         return args.func(args)
     except UsageError as exc:
         print(f"lowems: error: {exc}", file=sys.stderr)

@@ -35,7 +35,7 @@ class DynamicGroundTruth:
             raise ValueError("U must be 2-D")
         if not self.V_seq or len(self.V_seq) != len(self.X_seq):
             raise ValueError("V_seq and X_seq must be nonempty and equal length")
-        if self.drift_std < 0:
+        if not self.drift_std >= 0:
             raise ValueError("drift_std must be nonnegative")
 
     @property
@@ -93,7 +93,7 @@ def generate_truth(
         raise ValueError(f"rank must be in [1, {min(n1, n2)}], got {rank}")
     if d < 1:
         raise ValueError("d must be at least 1")
-    if drift_std < 0:
+    if not drift_std >= 0:
         raise ValueError("drift_std must be nonnegative")
 
     u = random_orthonormal(n1, rank, rng.child(0))

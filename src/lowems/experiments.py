@@ -146,7 +146,7 @@ def _check_config(cfg: SweepConfig, *, need_m0: bool) -> None:
         raise ValueError("rank out of range")
     if cfg.d < 1 or cfg.trials < 1 or cfg.threads < 1:
         raise ValueError("d, trials, and threads must be positive")
-    if cfg.noise_std < 0 or any(s < 0 for s in cfg.drift_grid):
+    if not (cfg.noise_std >= 0 and all(s >= 0 for s in cfg.drift_grid)):
         raise ValueError("noise levels must be nonnegative")
     if not cfg.drift_grid:
         raise ValueError("drift_grid must be nonempty")

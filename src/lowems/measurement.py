@@ -228,7 +228,7 @@ class ObservationSet:
             if not np.all(np.isfinite(y_t)):
                 raise ValueError(f"observations of time bin {t} are not all finite")
             y_t.setflags(write=False)
-        if self.noise_std < 0:
+        if not self.noise_std >= 0:
             raise ValueError("noise_std must be nonnegative")
         if self.truth is not None:
             if (self.truth.n1, self.truth.n2) != (first.n1, first.n2):
@@ -271,7 +271,7 @@ def observe(
     ops = tuple(ops)
     if len(ops) != truth.d:
         raise ValueError(f"need {truth.d} operators, got {len(ops)}")
-    if noise_std < 0:
+    if not noise_std >= 0:
         raise ValueError("noise_std must be nonnegative")
     sizes = {op.m for op in ops}
     if len(sizes) != 1:

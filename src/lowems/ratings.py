@@ -177,8 +177,6 @@ def truncate(
             break
         idx = np.flatnonzero(keep)
         keep[idx[~ok]] = False
-    if not keep.any():
-        raise EmptyResultError("truncation removed all ratings")
     return _build_table(
         table.user_ids[keep],
         table.item_ids[keep],

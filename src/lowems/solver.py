@@ -84,7 +84,7 @@ class LowemsProblem:
             raise ValueError(
                 f"rank must be in [1, {min(self.obs.n1, self.obs.n2)}]"
             )
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError("gamma must be nonnegative")
         if self.max_entry is not None and not self.max_entry > 0:
             raise ValueError("max_entry must be positive when given")
@@ -322,7 +322,7 @@ def solve(
     """
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be at least 1")
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     pair = init_factors(problem, init, rng)
     u, v = pair.U, pair.V

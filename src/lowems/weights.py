@@ -98,7 +98,7 @@ def kappa_for(noise_std: float, drift_std: float) -> float:
     """Noise ratio ``drift_std**2 / noise_std**2`` with the degenerate cases
     pinned: no drift means 0 (equal weights are optimal); drift with
     noiseless measurements means +inf (only the last bin is unbiased)."""
-    if noise_std < 0 or drift_std < 0:
+    if not (noise_std >= 0 and drift_std >= 0):
         raise ValueError("standard deviations must be nonnegative")
     if drift_std == 0:
         return 0.0

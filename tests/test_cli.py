@@ -36,11 +36,16 @@ def _run(capsys, argv):
 
 
 def _config_log(err, command):
+    """The one config line of ``command``, parsed as strict JSON: a bare
+    NaN or Infinity in it is an error."""
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token} in the config line")
+
     prefix = f"[lowems {command}] config: "
-    for line in err.splitlines():
-        if line.startswith(prefix):
-            return json.loads(line[len(prefix) :])
-    raise AssertionError(f"no config line for {command!r} in {err!r}")
+    lines = [l for l in err.splitlines() if l.startswith(prefix)]
+    assert len(lines) == 1, f"no single config line for {command!r} in {err!r}"
+    return json.loads(lines[0][len(prefix) :], parse_constant=reject)
 
 
 def _csv_rows(path):
@@ -483,3 +488,140 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert "0.1.0" in proc.stdout
+
+
+_REQUIRED_ONLY = {
+    "generate": (
+        ["--n1", "4", "--n2", "3", "--rank", "1", "--d", "2", "--m0", "6"],
+        {"n1": 4, "n2": 3, "rank": 1, "d": 2, "m0": 6, "noise_std": 0.05,
+         "drift_std": 0.0, "variant": "sampling", "dump_x": None},
+    ),
+    "sweep-error": (
+        ["--n1", "4", "--n2", "3", "--rank", "1", "--d", "1", "--m0", "8",
+         "--drift-grid", "0"],
+        {"n1": 4, "n2": 3, "rank": 1, "d": 1, "m0": 8, "noise_std": 0.05,
+         "drift_grid": [0.0], "strategies": ["last_only", "equal", "optimal"],
+         "trials": 10, "variant": "sampling", "gamma": 0.0, "init": "spectral",
+         "max_sweeps": 500, "tol": 1e-8, "threads": 1, "diagnostics_out": None},
+    ),
+    "sweep-samples": (
+        ["--n1", "3", "--n2", "3", "--rank", "1", "--d", "1",
+         "--drift-grid", "0"],
+        {"n1": 3, "n2": 3, "rank": 1, "d": 1, "noise_std": 0.05,
+         "drift_grid": [0.0], "strategies": ["last_only", "equal", "optimal"],
+         "trials": 10, "variant": "sampling", "gamma": 0.0, "init": "spectral",
+         "max_sweeps": 500, "tol": 1e-8, "threads": 1, "p_grid": None,
+         "success_threshold": 0.04},
+    ),
+    "rip-probe": (
+        ["--n1", "4", "--n2", "4", "--m0", "10", "--rank", "1"],
+        {"n1": 4, "n2": 4, "m0": 10, "rank": 1, "d": 1, "trials": 100,
+         "variant": "gaussian", "weights": "equal", "kappa": None},
+    ),
+}
+
+
+class TestOptionResolution:
+    """Pins what each --config command resolves and logs, so that the
+    defaults of every option stay where they are."""
+
+    @pytest.mark.parametrize("command", sorted(_REQUIRED_ONLY))
+    def test_required_flags_only(self, capsys, tmp_path, command):
+        flags, expected = _REQUIRED_ONLY[command]
+        out = str(tmp_path / "out")
+        code, _, err = _run(capsys, [command, *flags, "--out", out, "--seed", "5"])
+        assert code == 0, err
+        assert _config_log(err, command) == {
+            **expected, "config": None, "out": out, "seed": 5,
+        }
+
+    def test_config_file_values_are_coerced(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"n1": 4.0, "n2": 3, "rank": 1, "d": 1, "m0": 8, "noise_std": 0,
+             "drift_grid": [0.001, 1], "strategies": ["optimal", "last_only"],
+             "trials": 2, "gamma": 1, "max_sweeps": 20}
+        ))
+        out = str(tmp_path / "sweep.csv")
+        code, _, err = _run(
+            capsys,
+            ["sweep-error", "--config", str(cfg), "--trials", "1",
+             "--out", out, "--seed", "5"],
+        )
+        assert code == 0, err
+        logged = _config_log(err, "sweep-error")
+        assert logged == {
+            "n1": 4, "n2": 3, "rank": 1, "d": 1, "m0": 8, "noise_std": 0.0,
+            "drift_grid": [0.001, 1.0], "strategies": ["optimal", "last_only"],
+            "trials": 1, "variant": "sampling", "gamma": 1.0, "init": "spectral",
+            "max_sweeps": 20, "tol": 1e-8, "threads": 1, "diagnostics_out": None,
+            "config": str(cfg), "out": out, "seed": 5,
+        }
+        assert type(logged["n1"]) is int
+        assert all(type(logged[k]) is float for k in ("noise_std", "gamma"))
+        assert all(type(s) is float for s in logged["drift_grid"])
+
+    @pytest.mark.parametrize("command", ["generate", "sweep-error", "rip-probe"])
+    def test_bad_variant_in_config_names_the_key(self, capsys, tmp_path, command):
+        flags, _ = _REQUIRED_ONLY[command]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"variant": "bogus"}))
+        code, _, err = _run(
+            capsys,
+            [command, "--config", str(cfg), *flags,
+             "--out", str(tmp_path / "out"), "--seed", "5"],
+        )
+        assert code == 1
+        assert "variant" in err and "bogus" in err
+
+
+class TestNonFiniteOptions:
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--weights", "optimal", "--kappa", "nan"], "--kappa"),
+            (["--weights", "equal", "--gamma", "nan"], "--gamma"),
+            (["--weights", "equal", "--tol", "nan"], "--tol"),
+        ],
+    )
+    def test_nan_solve_flag_is_usage_error(self, capsys, bundle_path, tmp_path,
+                                           flags, name):
+        out_x = tmp_path / "x.csv"
+        code, _, err = _run(
+            capsys,
+            ["solve", "--bundle", str(bundle_path), *flags, "--rank", "2",
+             "--out-x", str(out_x)],
+        )
+        assert code == 1
+        assert f"{name} must be nonnegative" in err
+        assert not out_x.exists()
+
+    def test_nan_rip_probe_kappa_is_usage_error(self, capsys):
+        code, _, err = _run(
+            capsys,
+            ["rip-probe", "--n1", "4", "--n2", "4", "--m0", "10", "--rank", "1",
+             "--weights", "optimal", "--kappa", "nan", "--seed", "1"],
+        )
+        assert code == 1
+        assert "--kappa must be nonnegative" in err
+
+    def test_nan_in_config_file_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"drift_grid": [0.1, NaN]}')
+        code, _, err = _run(
+            capsys,
+            ["sweep-error", "--config", str(cfg), "--n1", "4", "--n2", "3",
+             "--rank", "1", "--d", "1", "--m0", "8",
+             "--out", str(tmp_path / "out"), "--seed", "1"],
+        )
+        assert code == 1
+        assert "--drift-grid must be nonnegative" in err
+
+    def test_infinite_kappa_logs_as_string(self, capsys, bundle_path, tmp_path):
+        code, _, err = _run(
+            capsys,
+            ["solve", "--bundle", str(bundle_path), "--weights", "optimal",
+             "--kappa", "inf", "--rank", "2", "--out-x", str(tmp_path / "x.csv")],
+        )
+        assert code == 0
+        assert _config_log(err, "solve")["kappa"] == "inf"

@@ -1,8 +1,12 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from lowems.core import RandomStream, frobenius_norm
 from lowems.dynamics import generate_truth
+from lowems.experiments import SweepConfig, run_error_sweep
 from lowems.measurement import ObservationSet, SamplingOperator, make_operator, observe
 from lowems.solver import (
     DivergenceError,
@@ -18,7 +22,7 @@ from lowems.solver import (
     update_V,
     weighted_misfit,
 )
-from lowems.weights import WeightVector, baseline_weights, optimal_weights
+from lowems.weights import WeightVector, baseline_weights, kappa_for, optimal_weights
 
 
 def _planted_problem(
@@ -290,6 +294,35 @@ class TestProblemValidation:
             LowemsProblem(obs, problem.weights, rank=2, gamma=-0.1)
         with pytest.raises(ValueError):
             LowemsProblem(obs, problem.weights, rank=2, max_entry=0.0)
+
+
+_NAN = math.nan
+_SWEEP = dict(n1=6, n2=5, rank=1, d=1, noise_std=0.1, drift_grid=(0.0,), seed=1, m0=20)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda p, t: LowemsProblem(p.obs, p.weights, 2, gamma=_NAN), "gamma"),
+        (lambda p, t: solve(p, tol=_NAN), "tol"),
+        (lambda p, t: generate_truth(6, 5, 1, 2, _NAN, RandomStream(1)), "drift_std"),
+        (lambda p, t: dataclasses.replace(t, drift_std=_NAN), "drift_std"),
+        (lambda p, t: ObservationSet(p.obs.ops, p.obs.y, _NAN), "noise_std"),
+        (lambda p, t: observe(p.obs.ops, t, _NAN, RandomStream(1)), "noise_std"),
+        (lambda p, t: run_error_sweep(SweepConfig(**{**_SWEEP, "noise_std": _NAN})),
+         "noise levels"),
+        (lambda p, t: run_error_sweep(SweepConfig(**{**_SWEEP, "drift_grid": (_NAN,)})),
+         "noise levels"),
+        (lambda p, t: kappa_for(_NAN, 0.1), "standard deviations"),
+    ],
+    ids=["problem-gamma", "solve-tol", "generate_truth", "truth-drift_std",
+         "observation_set", "observe", "sweep-noise_std", "sweep-drift_grid",
+         "kappa_for"],
+)
+def test_nan_fails_nonnegativity_checks(call, message):
+    problem, truth = _planted_problem(seed=219)
+    with pytest.raises(ValueError, match=f"{message} must be nonnegative"):
+        call(problem, truth)
 
 
 class TestBasicInequality:
