@@ -4,10 +4,11 @@ Subcommands: ``generate``, ``solve``, ``sweep-error``, ``sweep-samples``,
 ``rip-probe``, and ``ratings {ingest,cv,eval}``.  Every option is declared
 once, in argparse.  Dimension-heavy commands also accept a flat JSON config
 file via ``--config``, whose values go through the same options' types and
-choices; explicit flags override file values.  NaN in a float option is a
-usage error.  Every randomized command requires ``--seed`` (there is no
-wall-clock seeding), and every run logs its parsed options to stderr as one
-strict-JSON line.  Exit codes: 0 success, 1 usage error, 2 runtime failure.
+choices; explicit flags override file values.  A negative or NaN value of a
+float option is a usage error.  Every randomized command requires ``--seed``
+(there is no wall-clock seeding), and every run logs its parsed options to
+stderr as one strict-JSON line.  Exit codes: 0 success, 1 usage error, 2
+runtime failure.
 """
 
 from __future__ import annotations
@@ -23,15 +24,15 @@ import numpy as np
 from . import __version__, ratings
 from .bundles import load_bundle, save_bundle
 from .core import FLOAT_FORMAT, RandomStream, write_csv
-from .dynamics import generate_truth
 from .experiments import (
     STRATEGIES,
     SweepConfig,
+    _cell_data,
     run_error_sweep,
     run_sample_sweep,
     theorem_diagnostics,
 )
-from .measurement import VARIANTS, estimate_rip, make_operator, observe
+from .measurement import VARIANTS, estimate_rip, make_operator
 from .solver import LowemsProblem, solve
 from .weights import WeightVector, baseline_weights, optimal_weights
 
@@ -94,15 +95,16 @@ class _Parser(argparse.ArgumentParser):
         for action in self.required_options:
             if getattr(namespace, action.dest) is None:
                 raise UsageError(f"missing required option {action.option_strings[0]}")
-        # Every float option is nonnegative; NaN, which fails any comparison,
-        # is refused here for flags and file values alike.
+        # Every float option is nonnegative; a value failing ``>= 0`` (a
+        # negative one or NaN) is refused here for flags and file values alike.
         for action in self._actions:
             value = getattr(namespace, action.dest, None)
             if action.type not in (float, _float_list) or value is None:
                 continue
-            if np.isnan(value).any():
-                flag = action.option_strings[0]
-                raise UsageError(f"{flag} must be nonnegative, not nan")
+            for v in value if isinstance(value, tuple) else (value,):
+                if not v >= 0:
+                    flag = action.option_strings[0]
+                    raise UsageError(f"{flag} must be nonnegative, not {v}")
         return namespace, extras
 
     def _read_config(self, path) -> dict:
@@ -161,8 +163,6 @@ def _parse_weights(spec: str, d: int, kappa: float | None) -> WeightVector:
     if spec == "optimal":
         if kappa is None:
             raise UsageError("--weights optimal requires --kappa")
-        if kappa < 0:
-            raise UsageError("--kappa must be nonnegative")
         return optimal_weights(d, kappa)
     if spec.startswith("explicit:"):
         try:
@@ -181,17 +181,7 @@ def _parse_weights(spec: str, d: int, kappa: float | None) -> WeightVector:
 
 
 def _cmd_generate(args) -> int:
-    root = RandomStream(args.seed)
-    truth = generate_truth(
-        args.n1, args.n2, args.rank, args.d, args.drift_std, root.child(0)
-    )
-    ops = [
-        make_operator(
-            args.variant, args.n1, args.n2, args.m0, root.child(1).child(t)
-        )
-        for t in range(args.d)
-    ]
-    obs = observe(ops, truth, args.noise_std, root.child(2))
+    truth, obs = _cell_data(args, args.drift_std, args.m0, RandomStream(args.seed))
     save_bundle(args.out, obs)
     if args.dump_x:
         for t, x in enumerate(truth.X_seq):
@@ -334,8 +324,6 @@ def _cmd_ratings_cv(args) -> int:
 
 
 def _cmd_ratings_eval(args) -> int:
-    if args.kappa < 0:
-        raise UsageError("--kappa must be nonnegative")
     binned = _load_binned(args)
     root = RandomStream(args.seed)
     split = ratings.make_split(

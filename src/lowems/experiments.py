@@ -124,8 +124,8 @@ class SweepResult:
         write_csv(path, header, rows)
 
 
-def default_p_grid(points: int = 20) -> tuple[float, ...]:
-    return tuple(np.geomspace(0.02, 1.0, points))
+def default_p_grid() -> tuple[float, ...]:
+    return tuple(np.geomspace(0.02, 1.0, 20))
 
 
 def strategy_weights(
@@ -160,6 +160,9 @@ def _check_config(cfg: SweepConfig, *, need_m0: bool) -> None:
 
 
 def _cell_data(cfg: SweepConfig, drift_std: float, m0: int, stream: RandomStream):
+    """One synthetic dataset, for a sweep cell and for ``lowems generate`` (any
+    ``cfg`` with the problem fields): truth on ``stream.child(0)``, bin ``t``'s
+    operator on ``stream.child(1).child(t)``, noise on ``stream.child(2)``."""
     truth = generate_truth(
         cfg.n1, cfg.n2, cfg.rank, cfg.d, drift_std, stream.child(0)
     )
@@ -324,18 +327,13 @@ def bound_shape(
 
 
 def phi_prime(
-    w: WeightVector,
-    noise_std: float,
-    drift_std: float,
-    rank: int,
-    n1: int,
-    coherence: float = 1.0,
+    w: WeightVector, noise_std: float, drift_std: float, rank: int, n1: int
 ) -> float:
     """Weight-dependent sample-complexity shape for the sampling variant.
 
-    ``max_t w_t^2 ((d - t) coherence^2 rank drift_std^2 / n1 + noise_std^2)``
-    normalized by ``sum_t w_t^2 ((d - t) drift_std^2 + noise_std^2)``.
-    ``coherence`` defaults to 1 (ideally incoherent column space).
+    ``max_t w_t^2 ((d - t) rank drift_std^2 / n1 + noise_std^2)`` normalized
+    by ``sum_t w_t^2 ((d - t) drift_std^2 + noise_std^2)``.  The coherence
+    of the column space is taken as 1 (ideally incoherent).
     Report-only diagnostic.
     """
     profile = lag_profile(len(w))
@@ -343,9 +341,7 @@ def phi_prime(
     denom = float(w_sq @ (profile * drift_std**2 + noise_std**2))
     if denom == 0.0:
         raise ValueError("phi_prime undefined when both noise levels are zero")
-    numer = float(
-        np.max(w_sq * (profile * coherence**2 * rank * drift_std**2 / n1 + noise_std**2))
-    )
+    numer = float(np.max(w_sq * (profile * rank * drift_std**2 / n1 + noise_std**2)))
     return numer / denom
 
 
@@ -359,9 +355,7 @@ class DiagnosticsRow:
     ratio: float
 
 
-def theorem_diagnostics(
-    cfg: SweepConfig, result: SweepResult, coherence: float = 1.0
-) -> list[DiagnosticsRow]:
+def theorem_diagnostics(cfg: SweepConfig, result: SweepResult) -> list[DiagnosticsRow]:
     """Compare an error sweep's empirical means against the predicted error
     shape, one row per (drift level, strategy).
 
@@ -382,9 +376,7 @@ def theorem_diagnostics(
             w, cfg.noise_std, row.drift_std, n_max, cfg.rank, m_total
         )
         try:
-            phi = phi_prime(
-                w, cfg.noise_std, row.drift_std, cfg.rank, cfg.n1, coherence
-            )
+            phi = phi_prime(w, cfg.noise_std, row.drift_std, cfg.rank, cfg.n1)
         except ValueError:
             phi = math.nan
         if bound > 0.0:

@@ -284,6 +284,12 @@ def observe(
     return ObservationSet(ops, tuple(y), float(noise_std), truth=truth)
 
 
+def _live_bins(w, *columns) -> list:
+    """``(w_t, *column_t)`` per bin, skipping bins of exactly zero weight so
+    their data cannot reach any result, even at floating-point level."""
+    return [bin_ for bin_ in zip(w, *columns) if bin_[0] != 0.0]
+
+
 def isometry_gap(ops: Sequence[LinearOperator], w: WeightVector, x) -> float:
     """Deviation ``|sum_t w_t * ||A_t(x)||^2 / ||x||_F^2 - 1|`` of the
     weighted composite operator from an isometry on ``x``."""
@@ -294,9 +300,7 @@ def isometry_gap(ops: Sequence[LinearOperator], w: WeightVector, x) -> float:
     if len(w) != len(ops):
         raise ValueError("weight length must match operator count")
     total = 0.0
-    for w_t, op in zip(w.w, ops):
-        if w_t == 0.0:
-            continue
+    for w_t, op in _live_bins(w.w, ops):
         v = op.apply(x)
         total += w_t * float(v @ v)
     return abs(total / norm_sq - 1.0)

@@ -6,13 +6,16 @@ The estimator minimizes
 
 over factor pairs ``(U, V)`` of width ``rank``.  Each half-sweep solves one
 factor's weighted least-squares subproblem exactly while the other is held
-fixed, so the objective is nonincreasing along the iteration.  For the
-sampling variant the subproblem decouples into tiny per-row systems, summed
-over a duplicate-merged design cached on the problem; for the dense sensing
-variant it is one stacked ridge system in ``n * rank`` unknowns.  A sensing
-half-sweep makes one pass over the operator: each block's design rows come
-from one BLAS matmul and are kept (``m * n * rank`` floats per live bin), so
-the candidate's misfit is read from them instead of producing the blocks a
+fixed, so the objective is nonincreasing along the iteration.
+
+Both variants share one update, :func:`_factor_update`: a per-variant
+builder assembles the normal equations as a batch of systems plus a function
+giving the candidate's misfit, and the update adds the ridge, solves and
+reshapes.  Sampling gives one tiny system per output row, summed over a
+duplicate-merged design cached on the problem.  Dense sensing gives one
+stacked system in ``n * rank`` unknowns from one pass over the operator; its
+design rows (one BLAS matmul per block) are kept, ``m * n * rank`` floats per
+live bin, so the misfit is read from them without producing the blocks a
 second time.  Replay-mode operators never materialize their sensing stack.
 """
 
@@ -25,7 +28,7 @@ import numpy as np
 
 from .core import RandomStream, frobenius_norm, top_r_svd
 from .dynamics import DynamicGroundTruth
-from .measurement import ObservationSet
+from .measurement import ObservationSet, _live_bins
 from .weights import WeightVector
 
 
@@ -109,17 +112,11 @@ class Solution:
     clip_applied: bool
 
 
-def _live_bins(obs: ObservationSet, w: np.ndarray) -> list:
-    """``(w_t, op, y_t)`` per bin, skipping bins of exactly zero weight so
-    their observations cannot reach any result, even at floating-point level."""
-    return [bin_ for bin_ in zip(w, obs.ops, obs.y) if bin_[0] != 0.0]
-
-
 def weighted_misfit(obs: ObservationSet, w: np.ndarray, x: np.ndarray) -> float:
     """Data-fit term ``0.5 * sum_t w_t * ||A_t(x) - y_t||^2`` (zero-weight bins
     skipped)."""
     total = 0.0
-    for w_t, op, y_t in _live_bins(obs, w):
+    for w_t, op, y_t in _live_bins(w, obs.ops, obs.y):
         res = op.apply(x) - y_t
         total += w_t * float(res @ res)
     return 0.5 * total
@@ -152,7 +149,7 @@ def init_factors(
     obs, rank = problem.obs, problem.rank
     if mode == "spectral":
         acc = np.zeros((obs.n1, obs.n2))
-        for w_t, op, y_t in _live_bins(obs, problem.weights.w):
+        for w_t, op, y_t in _live_bins(problem.weights.w, obs.ops, obs.y):
             back = op.adjoint(y_t)
             if op.variant == "sampling":
                 back = back / op.p
@@ -184,16 +181,25 @@ def _factor_update(
     problem: LowemsProblem, fixed: np.ndarray, side: str
 ) -> tuple[np.ndarray, float]:
     """The minimizing ``side`` factor and the data-fit term (no ridge) of the
-    pair it forms with ``fixed``."""
+    pair it forms with ``fixed``, from the variant's batch of normal
+    equations ``gram[k] @ x[k] = rhs[k]`` and misfit function."""
     fixed = np.asarray(fixed, dtype=float)
-    expected = (problem.obs.n1 if side == "V" else problem.obs.n2, problem.rank)
-    if fixed.shape != expected:
-        raise ValueError(f"fixed factor has shape {fixed.shape}, expected {expected}")
-    if problem.obs.variant != "sampling":
-        return _sensing_update(problem, fixed, side)
-    factor = _sampling_update(problem, fixed, side)
-    u, v = (fixed, factor) if side == "V" else (factor, fixed)
-    return factor, weighted_misfit(problem.obs, problem.weights.w, u @ v.T)
+    obs, rank = problem.obs, problem.rank
+    n_in, n_out = (obs.n1, obs.n2) if side == "V" else (obs.n2, obs.n1)
+    if fixed.shape != (n_in, rank):
+        raise ValueError(
+            f"fixed factor has shape {fixed.shape}, expected {(n_in, rank)}"
+        )
+    if obs.variant == "sampling":
+        build, kind = _sampling_system, "per-row"
+    else:
+        build, kind = _sensing_system, "stacked"
+    gram, rhs, misfit = build(problem, fixed, side, n_out)
+    if problem.gamma > 0.0:
+        diag = np.arange(gram.shape[-1])
+        gram[:, diag, diag] += 2.0 * problem.gamma
+    factor = _solve_systems(gram, rhs, kind).reshape(n_out, rank)
+    return factor, misfit(factor)
 
 
 def _sampling_design(problem: LowemsProblem, side: str) -> tuple:
@@ -204,26 +210,30 @@ def _sampling_design(problem: LowemsProblem, side: str) -> tuple:
     have entries and ``starts`` where each one's segment begins."""
     cache = problem.__dict__.setdefault("_sampling_design", {})
     if side not in cache:
-        obs, live = problem.obs, _live_bins(problem.obs, problem.weights.w)
+        obs = problem.obs
+        live = _live_bins(problem.weights.w, obs.ops, obs.y)
         rows = np.concatenate([op.rows for _, op, _ in live])
         cols = np.concatenate([op.cols for _, op, _ in live])
         out, feat = (cols, rows) if side == "V" else (rows, cols)
-        n_out, n_feat = (obs.n2, obs.n1) if side == "V" else (obs.n1, obs.n2)
+        n_feat = obs.n1 if side == "V" else obs.n2
         c = np.concatenate([np.full(op.m, w_t) for w_t, op, _ in live])
         b = np.concatenate([w_t * y_t for w_t, _, y_t in live])
         keys, inverse = np.unique(out * n_feat + feat, return_inverse=True)
         seen, starts = np.unique(keys // n_feat, return_index=True)
         c, b = np.bincount(inverse, c), np.bincount(inverse, b)
-        cache[side] = (n_out, seen, starts, keys % n_feat, c, b)
+        cache[side] = (seen, starts, keys % n_feat, c, b)
     return cache[side]
 
 
-def _sampling_update(problem: LowemsProblem, fixed: np.ndarray, side: str) -> np.ndarray:
+def _sampling_system(
+    problem: LowemsProblem, fixed: np.ndarray, side: str, n_out: int
+) -> tuple:
     """Per-row normal equations for the sampling variant: each upper-triangle
     Gram entry and right-hand-side component is one ``np.add.reduceat`` over
-    the row segments of the cached, duplicate-merged :func:`_sampling_design`."""
-    n_out, seen, starts, feat, c, b = _sampling_design(problem, side)
-    gamma, r = problem.gamma, fixed.shape[1]
+    the row segments of the cached, duplicate-merged :func:`_sampling_design`.
+    The misfit is :func:`weighted_misfit` of the dense product."""
+    seen, starts, feat, c, b = _sampling_design(problem, side)
+    r = fixed.shape[1]
     f = fixed.T.take(feat, axis=1)  # (rank, nnz), rows contiguous for reduceat
     cf = c * f
     sums = np.empty((r, r, seen.size))
@@ -234,9 +244,52 @@ def _sampling_update(problem: LowemsProblem, fixed: np.ndarray, side: str) -> np
     gram[seen] = sums.transpose(2, 0, 1)
     rhs = np.zeros((n_out, r))
     rhs[seen] = np.add.reduceat(b * f, starts, axis=1).T
-    if gamma > 0.0:
-        gram[:, np.arange(r), np.arange(r)] += 2.0 * gamma
-    return _solve_systems(gram, rhs, "per-row")
+
+    def misfit(x: np.ndarray) -> float:
+        product = fixed @ x.T if side == "V" else x @ fixed.T
+        return weighted_misfit(problem.obs, problem.weights.w, product)
+
+    return gram, rhs, misfit
+
+
+def _sensing_system(
+    problem: LowemsProblem, fixed: np.ndarray, side: str, n_out: int
+) -> tuple:
+    """The stacked normal equations of the dense sensing variant, a batch of
+    one ``(k, k)`` system with ``k = n_out * rank``, in one pass over the
+    operator.
+
+    For ``side == "V"`` the i-th design row is ``A_i^T @ U`` flattened (since
+    ``<A_i, U V^T> = <A_i^T U, V>``); for ``side == "U"`` it is ``A_i @ V``.
+    Each block's rows are one BLAS matmul (the transposed block is read as a
+    view, never copied).  The design of every live bin is kept, ``m * n_out *
+    rank`` floats each, to accumulate the normal equations and then to give
+    the candidate's misfit from its explicit residual ``D_t x - y_t``.
+    """
+    obs, r = problem.obs, fixed.shape[1]
+    k = n_out * r
+    gram = np.zeros((k, k))
+    rhs = np.zeros(k)
+    designs = []
+    for w_t, op, y_t in _live_bins(problem.weights.w, obs.ops, obs.y):
+        design = np.empty((op.m, n_out, r))
+        for start, block in op.iter_blocks():
+            rows = design[start : start + block.shape[0]]
+            np.matmul(block.transpose(0, 2, 1) if side == "V" else block, fixed, out=rows)
+            del block  # a replayed block is freed before the next one is drawn
+        design = design.reshape(op.m, k)
+        gram += w_t * (design.T @ design)
+        rhs += w_t * (design.T @ y_t)
+        designs.append((w_t, design, y_t))
+
+    def misfit(x: np.ndarray) -> float:
+        total = 0.0
+        for w_t, design, y_t in designs:
+            res = design @ x.ravel() - y_t
+            total += w_t * float(res @ res)
+        return 0.5 * total
+
+    return gram[None], rhs[None], misfit
 
 
 def _solve_systems(gram: np.ndarray, rhs: np.ndarray, kind: str) -> np.ndarray:
@@ -257,51 +310,11 @@ def _solve_systems(gram: np.ndarray, rhs: np.ndarray, kind: str) -> np.ndarray:
         warnings.warn(
             f"singular {kind} system; using minimum-norm solve",
             RankDeficiencyWarning,
-            stacklevel=5,
+            stacklevel=4,  # _solve_systems, _factor_update, solve/update_*, caller
         )
         for k in fallback:
             out[k] = np.linalg.lstsq(gram[k], rhs[k], rcond=None)[0]
     return out
-
-
-def _sensing_update(
-    problem: LowemsProblem, fixed: np.ndarray, side: str
-) -> tuple[np.ndarray, float]:
-    """Stacked ridge least squares for the dense sensing variant, in one pass
-    over the operator.
-
-    For ``side == "V"`` the i-th design row is ``A_i^T @ U`` flattened (since
-    ``<A_i, U V^T> = <A_i^T U, V>``); for ``side == "U"`` it is ``A_i @ V``.
-    Each block's rows are one BLAS matmul (the transposed block is read as a
-    view, never copied).  The design of every live bin is kept, ``m * n_out *
-    rank`` floats each, to accumulate the normal equations and then to
-    return the candidate's misfit from its explicit residual ``D_t x - y_t``.
-    """
-    obs, w, gamma = problem.obs, problem.weights.w, problem.gamma
-    r = fixed.shape[1]
-    n_out = obs.n2 if side == "V" else obs.n1
-    k = n_out * r
-    gram = np.zeros((k, k))
-    rhs = np.zeros(k)
-    designs = []
-    for w_t, op, y_t in _live_bins(obs, w):
-        design = np.empty((op.m, n_out, r))
-        for start, block in op.iter_blocks():
-            rows = design[start : start + block.shape[0]]
-            np.matmul(block.transpose(0, 2, 1) if side == "V" else block, fixed, out=rows)
-            del block  # a replayed block is freed before the next one is drawn
-        design = design.reshape(op.m, k)
-        gram += w_t * (design.T @ design)
-        rhs += w_t * (design.T @ y_t)
-        designs.append((w_t, design, y_t))
-    if gamma > 0.0:
-        gram[np.arange(k), np.arange(k)] += 2.0 * gamma
-    x = _solve_systems(gram[None], rhs[None], "stacked")[0]
-    misfit = 0.0
-    for w_t, design, y_t in designs:
-        res = design @ x - y_t
-        misfit += w_t * float(res @ res)
-    return x.reshape(n_out, r), 0.5 * misfit
 
 
 def solve(
@@ -418,7 +431,7 @@ def check_basic_inequality(
 
     lhs = 0.0
     stoch = np.zeros((obs.n1, obs.n2))
-    for w_t, op, y_t in _live_bins(obs, w):
+    for w_t, op, y_t in _live_bins(w, obs.ops, obs.y):
         a_delta = op.apply(delta)
         lhs += w_t * float(a_delta @ a_delta)
         stoch += w_t * op.adjoint(op.apply(x_d) - y_t)

@@ -192,6 +192,7 @@ def test_05_baseline_convergence_at_large_drift(capsys, drift_sweep):
     assert ok
 
 
+@pytest.mark.filterwarnings("ignore::lowems.solver.RankDeficiencyWarning")
 def test_06_sample_complexity_reduction(capsys, density_sweep):
     """Optimal weighting reaches the error target at <= half the density."""
     result, elapsed = density_sweep["result"], density_sweep["elapsed"]
@@ -210,6 +211,7 @@ def test_06_sample_complexity_reduction(capsys, density_sweep):
     assert ok
 
 
+@pytest.mark.filterwarnings("ignore::lowems.solver.RankDeficiencyWarning")
 def test_07_objective_monotonicity(
     capsys, static_recovery, drift_sweep, density_sweep
 ):

@@ -378,6 +378,7 @@ class TestSweepCommands:
             for r in rows
         ]
 
+    @pytest.mark.filterwarnings("ignore::lowems.solver.RankDeficiencyWarning")
     def test_sweep_samples_reports_not_achieved(self, capsys, tmp_path):
         out = tmp_path / "samples.csv"
         code, _, _ = _run(
@@ -525,7 +526,15 @@ class TestOptionResolution:
     """Pins what each --config command resolves and logs, so that the
     defaults of every option stay where they are."""
 
-    @pytest.mark.parametrize("command", sorted(_REQUIRED_ONLY))
+    @pytest.mark.parametrize(
+        "command",
+        [
+            pytest.param(c, marks=pytest.mark.filterwarnings(
+                "ignore::lowems.solver.RankDeficiencyWarning"))
+            if c.startswith("sweep-") else c
+            for c in sorted(_REQUIRED_ONLY)
+        ],
+    )
     def test_required_flags_only(self, capsys, tmp_path, command):
         flags, expected = _REQUIRED_ONLY[command]
         out = str(tmp_path / "out")
@@ -582,6 +591,9 @@ class TestNonFiniteOptions:
             (["--weights", "optimal", "--kappa", "nan"], "--kappa"),
             (["--weights", "equal", "--gamma", "nan"], "--gamma"),
             (["--weights", "equal", "--tol", "nan"], "--tol"),
+            (["--weights", "equal", "--gamma", "-1"], "--gamma"),
+            (["--weights", "equal", "--tol", "-1"], "--tol"),
+            (["--weights", "optimal", "--kappa", "-0.5"], "--kappa"),
         ],
     )
     def test_nan_solve_flag_is_usage_error(self, capsys, bundle_path, tmp_path,
@@ -597,25 +609,51 @@ class TestNonFiniteOptions:
         assert not out_x.exists()
 
     def test_nan_rip_probe_kappa_is_usage_error(self, capsys):
-        code, _, err = _run(
-            capsys,
-            ["rip-probe", "--n1", "4", "--n2", "4", "--m0", "10", "--rank", "1",
-             "--weights", "optimal", "--kappa", "nan", "--seed", "1"],
-        )
-        assert code == 1
-        assert "--kappa must be nonnegative" in err
+        for value in ("nan", "-1"):
+            code, _, err = _run(
+                capsys,
+                ["rip-probe", "--n1", "4", "--n2", "4", "--m0", "10", "--rank", "1",
+                 "--weights", "optimal", "--kappa", value, "--seed", "1"],
+            )
+            assert code == 1
+            assert "--kappa must be nonnegative" in err
 
     def test_nan_in_config_file_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"drift_grid": [0.1, NaN]}')
-        code, _, err = _run(
-            capsys,
-            ["sweep-error", "--config", str(cfg), "--n1", "4", "--n2", "3",
-             "--rank", "1", "--d", "1", "--m0", "8",
-             "--out", str(tmp_path / "out"), "--seed", "1"],
-        )
+        for grid, bad in (("[0.1, NaN]", "nan"), ("[0.1, -1]", "-1.0")):
+            cfg.write_text(f'{{"drift_grid": {grid}}}')
+            code, _, err = _run(
+                capsys,
+                ["sweep-error", "--config", str(cfg), "--n1", "4", "--n2", "3",
+                 "--rank", "1", "--d", "1", "--m0", "8",
+                 "--out", str(tmp_path / "out"), "--seed", "1"],
+            )
+            assert code == 1
+            assert f"--drift-grid must be nonnegative, not {bad}" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["generate", "--n1", "4", "--n2", "3", "--rank", "1", "--d", "1",
+              "--m0", "8", "--noise-std", "-1", "--out", "b.npz", "--seed", "1"],
+             "--noise-std must be nonnegative, not -1.0"),
+            (["sweep-error", "--n1", "4", "--n2", "3", "--rank", "1", "--d", "1",
+              "--m0", "8", "--drift-grid", "0.1,-1", "--out", "s.csv",
+              "--seed", "1"],
+             "--drift-grid must be nonnegative, not -1.0"),
+            (["ratings", "eval", "--in", "absent.csv", "--d", "2", "--rank", "2",
+              "--kappa", "-1", "--out", "e.csv", "--seed", "1"],
+             "--kappa must be nonnegative, not -1.0"),
+        ],
+        ids=["generate", "sweep-error", "ratings-eval"],
+    )
+    def test_negative_value_is_usage_error(self, capsys, tmp_path, monkeypatch,
+                                           argv, message):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = _run(capsys, argv)
         assert code == 1
-        assert "--drift-grid must be nonnegative" in err
+        assert f"lowems: error: {message}" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_infinite_kappa_logs_as_string(self, capsys, bundle_path, tmp_path):
         code, _, err = _run(

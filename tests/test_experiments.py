@@ -65,6 +65,7 @@ class TestStrategyWeights:
 
 
 class TestErrorSweep:
+    @pytest.mark.filterwarnings("ignore::lowems.solver.RankDeficiencyWarning")
     def test_rows_cover_the_grid(self):
         cfg = _tiny_error_cfg()
         res = run_error_sweep(cfg)
@@ -76,6 +77,7 @@ class TestErrorSweep:
             assert np.isfinite(row.value) and row.value >= 0
             assert row.stddev >= 0
 
+    @pytest.mark.filterwarnings("ignore::lowems.solver.RankDeficiencyWarning")
     def test_deterministic_and_thread_invariant(self):
         cfg = _tiny_error_cfg()
         a = run_error_sweep(cfg)
@@ -114,6 +116,7 @@ class TestErrorSweep:
         for i in range(2, len(values)):
             assert values[i] >= max(values[: i - 1])
 
+    @pytest.mark.filterwarnings("ignore::lowems.solver.RankDeficiencyWarning")
     def test_traces_collected_on_request(self):
         cfg = _tiny_error_cfg(collect_traces=True, trials=2, drift_grid=(0.1,))
         res = run_error_sweep(cfg)
@@ -148,6 +151,7 @@ class TestErrorSweep:
 
 
 class TestSampleSweep:
+    @pytest.mark.filterwarnings("ignore::lowems.solver.RankDeficiencyWarning")
     def test_reports_first_sufficient_density(self):
         cfg = _tiny_error_cfg(
             m0=None, trials=3, drift_grid=(1e-3,), strategies=("optimal",),
@@ -173,6 +177,7 @@ class TestSampleSweep:
         assert rows[0] == ["sigma2", "strategy", "min_p"]
         assert rows[1][2] == "not_achieved"
 
+    @pytest.mark.filterwarnings("ignore::lowems.solver.RankDeficiencyWarning")
     def test_deterministic_and_thread_invariant(self):
         cfg = _tiny_error_cfg(
             m0=None, trials=2, p_grid=(0.2, 0.5, 0.9), noise_std=0.0,
@@ -237,6 +242,7 @@ class TestPhiPrime:
 
 
 class TestTheoremDiagnostics:
+    @pytest.mark.filterwarnings("ignore::lowems.solver.RankDeficiencyWarning")
     def test_rows_align_with_sweep(self):
         cfg = _tiny_error_cfg(trials=2)
         res = run_error_sweep(cfg)
@@ -249,6 +255,7 @@ class TestTheoremDiagnostics:
             assert d_row.bound_value > 0
             assert d_row.ratio == pytest.approx(s_row.value / d_row.bound_value)
 
+    @pytest.mark.filterwarnings("ignore::lowems.solver.RankDeficiencyWarning")
     def test_requires_error_mode(self):
         cfg = _tiny_error_cfg(
             m0=None, trials=2, drift_grid=(1e-3,), strategies=("optimal",),

@@ -1,5 +1,6 @@
 """The sampling factor update against the per-measurement ``np.add.at``
-assembly it replaced, plus the read-only inputs its cached design relies on.
+assembly it replaced, its misfit against :func:`weighted_misfit`, plus the
+read-only inputs its cached design relies on.
 
 ``reference_sampling_update`` is the earlier implementation, kept verbatim
 as an oracle: it rebuilds every Gram matrix and right-hand side from the raw
@@ -13,7 +14,14 @@ import pytest
 
 from lowems.core import RandomStream
 from lowems.measurement import ObservationSet, SamplingOperator, make_operator
-from lowems.solver import LowemsProblem, RankDeficiencyWarning, update_U, update_V
+from lowems.solver import (
+    LowemsProblem,
+    RankDeficiencyWarning,
+    _factor_update,
+    update_U,
+    update_V,
+    weighted_misfit,
+)
 from lowems.weights import WeightVector
 
 
@@ -83,6 +91,9 @@ CASES = {
     "duplicates": dict(sizes=(120, 120, 120), w=(0.2, 0.3, 0.5)),
     "uneven_bins": dict(sizes=(15, 200, 60, 4), w=(0.1, 0.2, 0.3, 0.4)),
     "poisoned_zero_weight_bin": dict(sizes=(80, 90, 70), w=(0.0, 0.4, 0.6), poison=0),
+    # n1 == n2: a misfit taken of the transposed product still has the right
+    # shape, so only the exact misfit comparison below catches it
+    "square": dict(sizes=(100, 80, 60), w=(0.2, 0.3, 0.5), n1=7, n2=7),
 }
 
 
@@ -98,6 +109,10 @@ def test_update_matches_add_at_oracle(case, gamma):
             want = reference_sampling_update(problem, fixed, side)
             assert np.all(np.isfinite(got))
             np.testing.assert_allclose(got, want, rtol=1e-12)
+            factor, misfit = _factor_update(problem, fixed, side)
+            np.testing.assert_array_equal(factor, got)
+            u, v = (fixed, got) if side == "V" else (got, fixed)
+            assert misfit == weighted_misfit(problem.obs, problem.weights.w, u @ v.T)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.3])
