@@ -4,11 +4,11 @@ Subcommands: ``generate``, ``solve``, ``sweep-error``, ``sweep-samples``,
 ``rip-probe``, and ``ratings {ingest,cv,eval}``.  Every option is declared
 once, in argparse.  Dimension-heavy commands also accept a flat JSON config
 file via ``--config``, whose values go through the same options' types and
-choices; explicit flags override file values.  A negative or NaN value of a
-float option is a usage error.  Every randomized command requires ``--seed``
-(there is no wall-clock seeding), and every run logs its parsed options to
-stderr as one strict-JSON line.  Exit codes: 0 success, 1 usage error, 2
-runtime failure.
+choices; explicit flags override file values.  A numeric value outside its
+option's range (a count below 1, a negative or NaN float) is a usage error.
+Every randomized command requires ``--seed`` (there is no wall-clock
+seeding), and every run logs its parsed options to stderr as one strict-JSON
+line.  Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -54,6 +54,17 @@ def _str_list(value) -> tuple[str, ...]:
     return tuple(str(v) for v in value)
 
 
+# The valid values of a numeric option: by destination, else by type.
+_RANGES = {
+    "seed": (lambda v: 0 <= v < 2**64, "in [0, 2**64)"),
+    "max_entry": (lambda v: v > 0, "positive"),
+    "p_grid": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "test_frac": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    int: (lambda v: v >= 1, "at least 1"),
+    float: (lambda v: v >= 0, "nonnegative"),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse with the CLI's exit codes and its ``--config FILE``.
 
@@ -92,19 +103,21 @@ class _Parser(argparse.ArgumentParser):
                 for key, value in self._read_config(path).items():
                     setattr(namespace, key, value)
         namespace, extras = super().parse_known_args(args, namespace)
-        for action in self.required_options:
-            if getattr(namespace, action.dest) is None:
-                raise UsageError(f"missing required option {action.option_strings[0]}")
-        # Every float option is nonnegative; a value failing ``>= 0`` (a
-        # negative one or NaN) is refused here for flags and file values alike.
+        # One pass, for flags and file values alike and before anything is
+        # written: a required option must be set, and a numeric value must lie
+        # in its option's range (NaN never does).
         for action in self._actions:
             value = getattr(namespace, action.dest, None)
-            if action.type not in (float, _float_list) or value is None:
+            if value is None and action in self.required_options:
+                raise UsageError(f"missing required option {action.option_strings[0]}")
+            if action.type not in (int, float, _float_list) or value is None:
                 continue
+            kind = int if action.type is int else float
+            valid, rule = _RANGES.get(action.dest, _RANGES[kind])
             for v in value if isinstance(value, tuple) else (value,):
-                if not v >= 0:
+                if not valid(v):
                     flag = action.option_strings[0]
-                    raise UsageError(f"{flag} must be nonnegative, not {v}")
+                    raise UsageError(f"{flag} must be {rule}, not {v}")
         return namespace, extras
 
     def _read_config(self, path) -> dict:
@@ -302,18 +315,17 @@ def _cmd_ratings_ingest(args) -> int:
     return 0
 
 
-def _load_binned(args) -> ratings.BinnedRatings:
-    table = ratings.ingest(args.infile)
-    return ratings.bin_by_time(table, args.d)
+def _load_split(args, folds: int) -> tuple:
+    """The binned ratings, their split with ``folds`` validation folds, the
+    fit settings and the command's root stream (its child 0 draws the split)."""
+    binned = ratings.bin_by_time(ratings.ingest(args.infile), args.d)
+    root = RandomStream(args.seed)
+    split = ratings.make_split(binned, root.child(0), test_frac=args.test_frac, folds=folds)
+    return binned, split, ratings.FitConfig(rank=args.rank, gamma=args.gamma), root
 
 
 def _cmd_ratings_cv(args) -> int:
-    binned = _load_binned(args)
-    root = RandomStream(args.seed)
-    split = ratings.make_split(
-        binned, root.child(0), test_frac=args.test_frac, folds=args.folds
-    )
-    cfg = ratings.FitConfig(rank=args.rank, gamma=args.gamma)
+    binned, split, cfg, root = _load_split(args, args.folds)
     result = ratings.cross_validate_kappa(
         binned, split, args.kappa_grid, cfg, root.child(1)
     )
@@ -324,12 +336,7 @@ def _cmd_ratings_cv(args) -> int:
 
 
 def _cmd_ratings_eval(args) -> int:
-    binned = _load_binned(args)
-    root = RandomStream(args.seed)
-    split = ratings.make_split(
-        binned, root.child(0), test_frac=args.test_frac, folds=1
-    )
-    cfg = ratings.FitConfig(rank=args.rank, gamma=args.gamma)
+    binned, split, cfg, root = _load_split(args, 1)
     result = ratings.evaluate_test(
         binned, split, args.kappa, cfg, root.child(2), restarts=args.restarts
     )
@@ -383,15 +390,12 @@ def build_parser() -> _Parser:
     add_seed(slv, required=False)
     slv.set_defaults(func=_cmd_solve)
 
-    sweep_help = {
-        "sweep-error": "recovery error vs drift level, CSV output",
-        "sweep-samples": "minimal sampling density vs drift level, CSV output",
-    }
-    for name, func in (
-        ("sweep-error", _cmd_sweep_error),
-        ("sweep-samples", _cmd_sweep_samples),
+    for name, func, summary in (
+        ("sweep-error", _cmd_sweep_error, "recovery error vs drift level, CSV output"),
+        ("sweep-samples", _cmd_sweep_samples,
+         "minimal sampling density vs drift level, CSV output"),
     ):
-        sw = sub.add_parser(name, help=sweep_help[name])
+        sw = sub.add_parser(name, help=summary)
         sw.add_argument("--config", help="JSON config file")
         for key in ("n1", "n2", "rank", "d"):
             sw.add_config_option(f"--{key}", type=int, required=True)

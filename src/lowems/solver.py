@@ -11,12 +11,13 @@ fixed, so the objective is nonincreasing along the iteration.
 Both variants share one update, :func:`_factor_update`: a per-variant
 builder assembles the normal equations as a batch of systems plus a function
 giving the candidate's misfit, and the update adds the ridge, solves and
-reshapes.  Sampling gives one tiny system per output row, summed over a
-duplicate-merged design cached on the problem.  Dense sensing gives one
-stacked system in ``n * rank`` unknowns from one pass over the operator; its
-design rows (one BLAS matmul per block) are kept, ``m * n * rank`` floats per
-live bin, so the misfit is read from them without producing the blocks a
-second time.  Replay-mode operators never materialize their sensing stack.
+reshapes.  Sampling gives one tiny system per output row; all rows come
+from one GEMM of dense merged weights (two ``n1 * n2`` arrays) cached on the
+problem.  Dense sensing gives one stacked system in ``n * rank`` unknowns
+from one pass over the operator; its design rows (one BLAS matmul per
+block) are kept, ``m * n * rank`` floats per live bin, so the misfit is read
+from them without producing the blocks a second time.  Replay-mode operators
+never materialize their sensing stack.
 """
 
 from __future__ import annotations
@@ -202,54 +203,49 @@ def _factor_update(
     return factor, misfit(factor)
 
 
-def _sampling_design(problem: LowemsProblem, side: str) -> tuple:
-    """Sampling observations laid out for solving ``side``, cached on the
-    problem (its inputs are read-only): nonzero-weight bins concatenated, the
-    entries of each ``(out, feat)`` pair merged into ``c = sum w_t`` and ``b =
-    sum w_t * y``, sorted by output row.  ``seen`` lists the output rows that
-    have entries and ``starts`` where each one's segment begins."""
-    cache = problem.__dict__.setdefault("_sampling_design", {})
-    if side not in cache:
+def _sampling_design(problem: LowemsProblem) -> tuple:
+    """Sampling observations laid out for both sides, cached on the problem
+    (its inputs are read-only): the merged weights ``c[i, j] = sum w_t`` and
+    ``b[i, j] = sum w_t * y`` of the live bins' entries at ``(i, j)``, dense
+    ``(n1, n2)`` arrays summed in input order, then each live observation's
+    flat index and value, the live bins' weights and where each bin starts."""
+    design = problem.__dict__.get("_sampling_design")
+    if design is None:
         obs = problem.obs
         live = _live_bins(problem.weights.w, obs.ops, obs.y)
-        rows = np.concatenate([op.rows for _, op, _ in live])
-        cols = np.concatenate([op.cols for _, op, _ in live])
-        out, feat = (cols, rows) if side == "V" else (rows, cols)
-        n_feat = obs.n1 if side == "V" else obs.n2
-        c = np.concatenate([np.full(op.m, w_t) for w_t, op, _ in live])
-        b = np.concatenate([w_t * y_t for w_t, _, y_t in live])
-        keys, inverse = np.unique(out * n_feat + feat, return_inverse=True)
-        seen, starts = np.unique(keys // n_feat, return_index=True)
-        c, b = np.bincount(inverse, c), np.bincount(inverse, b)
-        cache[side] = (seen, starts, keys % n_feat, c, b)
-    return cache[side]
+        flat = np.concatenate([op.rows * obs.n2 + op.cols for _, op, _ in live])
+        y = np.concatenate([y_t for _, _, y_t in live])
+        w = np.concatenate([np.full(op.m, w_t) for w_t, op, _ in live])
+        c = np.bincount(flat, w, obs.n1 * obs.n2).reshape(obs.n1, obs.n2)
+        b = np.bincount(flat, w * y, obs.n1 * obs.n2).reshape(obs.n1, obs.n2)
+        starts = np.cumsum([op.m for _, op, _ in live])[:-1]
+        design = (c, b, flat, y, [w_t for w_t, _, _ in live], starts)
+        problem.__dict__["_sampling_design"] = design
+    return design
 
 
 def _sampling_system(
     problem: LowemsProblem, fixed: np.ndarray, side: str, n_out: int
 ) -> tuple:
-    """Per-row normal equations for the sampling variant: each upper-triangle
-    Gram entry and right-hand-side component is one ``np.add.reduceat`` over
-    the row segments of the cached, duplicate-merged :func:`_sampling_design`.
-    The misfit is :func:`weighted_misfit` of the dense product."""
-    seen, starts, feat, c, b = _sampling_design(problem, side)
+    """Per-row normal equations for the sampling variant, from the cached
+    :func:`_sampling_design` in the weighted-ALS form (Hu, Koren and Volinsky,
+    2008): Gram matrices ``c @ outer(fixed)``, right-hand sides ``b @ fixed``,
+    with ``c`` and ``b`` read transposed (views) for V.  Unobserved rows keep
+    an exactly zero Gram matrix.  The misfit is the explicit residual at each
+    live observation, summed per bin as in :func:`weighted_misfit`."""
+    c, b, flat, y, weights, starts = _sampling_design(problem)
+    if side == "V":
+        c, b = c.T, b.T
     r = fixed.shape[1]
-    f = fixed.T.take(feat, axis=1)  # (rank, nnz), rows contiguous for reduceat
-    cf = c * f
-    sums = np.empty((r, r, seen.size))
-    for i in range(r):
-        for j in range(i, r):
-            sums[i, j] = sums[j, i] = np.add.reduceat(cf[i] * f[j], starts)
-    gram = np.zeros((n_out, r, r))  # rows without entries keep a zero Gram matrix
-    gram[seen] = sums.transpose(2, 0, 1)
-    rhs = np.zeros((n_out, r))
-    rhs[seen] = np.add.reduceat(b * f, starts, axis=1).T
+    outer = (fixed[:, :, None] * fixed[:, None, :]).reshape(-1, r * r)
+    gram = (c @ outer).reshape(n_out, r, r)
 
     def misfit(x: np.ndarray) -> float:
         product = fixed @ x.T if side == "V" else x @ fixed.T
-        return weighted_misfit(problem.obs, problem.weights.w, product)
+        res = np.split(product.take(flat) - y, starts)
+        return 0.5 * sum(w_t * float(r_t @ r_t) for w_t, r_t in zip(weights, res))
 
-    return gram, rhs, misfit
+    return gram, b @ fixed, misfit
 
 
 def _sensing_system(

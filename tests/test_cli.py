@@ -584,6 +584,16 @@ class TestOptionResolution:
         assert "variant" in err and "bogus" in err
 
 
+_ERROR_SWEEP = ["sweep-error", "--n1", "4", "--n2", "3", "--rank", "1", "--d", "1",
+                "--m0", "8", "--drift-grid", "0.1", "--out", "s.csv", "--seed", "1"]
+_SAMPLE_SWEEP = ["sweep-samples", "--n1", "4", "--n2", "3", "--rank", "1", "--d", "1",
+                 "--drift-grid", "0.1", "--out", "s.csv", "--seed", "1"]
+_RATINGS_CV = ["ratings", "cv", "--in", "absent.csv", "--d", "2", "--rank", "2",
+               "--out", "cv.csv", "--seed", "1"]
+# a later flag overrides the same flag in _ERROR_SWEEP
+_COUNT_FLAGS = ["--threads", "--trials", "--d", "--m0", "--rank", "--max-sweeps"]
+
+
 class TestNonFiniteOptions:
     @pytest.mark.parametrize(
         "flags, name",
@@ -644,8 +654,22 @@ class TestNonFiniteOptions:
             (["ratings", "eval", "--in", "absent.csv", "--d", "2", "--rank", "2",
               "--kappa", "-1", "--out", "e.csv", "--seed", "1"],
              "--kappa must be nonnegative, not -1.0"),
+            # options whose valid range is narrower than nonnegative
+            (["solve", "--bundle", "absent.npz", "--weights", "equal", "--rank", "1",
+              "--max-entry", "0", "--out-x", "x.csv"],
+             "--max-entry must be positive, not 0.0"),
+            ([*_SAMPLE_SWEEP, "--p-grid", "0,0.5"], "--p-grid must be in (0, 1], not 0.0"),
+            ([*_SAMPLE_SWEEP, "--p-grid", "0.5,1.5"], "--p-grid must be in (0, 1], not 1.5"),
+            ([*_RATINGS_CV, "--test-frac", "1"], "--test-frac must be in [0, 1), not 1.0"),
+            ([*_ERROR_SWEEP, "--seed", "-1"], "--seed must be in [0, 2**64), not -1"),
+            # counts
+            *[([*_ERROR_SWEEP, flag, "0"], f"{flag} must be at least 1, not 0")
+              for flag in _COUNT_FLAGS],
+            ([*_RATINGS_CV, "--folds", "0"], "--folds must be at least 1, not 0"),
         ],
-        ids=["generate", "sweep-error", "ratings-eval"],
+        ids=["generate", "sweep-error", "ratings-eval", "max-entry", "p-grid-zero",
+             "p-grid-above-one", "test-frac", "seed",
+             *[f"count{flag}" for flag in _COUNT_FLAGS], "folds"],
     )
     def test_negative_value_is_usage_error(self, capsys, tmp_path, monkeypatch,
                                            argv, message):

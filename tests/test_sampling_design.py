@@ -1,12 +1,14 @@
 """The sampling factor update against the per-measurement ``np.add.at``
-assembly it replaced, its misfit against :func:`weighted_misfit`, plus the
-read-only inputs its cached design relies on.
+assembly it replaced, its misfit against :func:`weighted_misfit`, the reuse
+and size of its cached design, plus the read-only inputs that design relies
+on.
 
 ``reference_sampling_update`` is the earlier implementation, kept verbatim
 as an oracle: it rebuilds every Gram matrix and right-hand side from the raw
 (unmerged, unsorted) measurements on each call.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +20,8 @@ from lowems.solver import (
     LowemsProblem,
     RankDeficiencyWarning,
     _factor_update,
+    _sampling_design,
+    solve,
     update_U,
     update_V,
     weighted_misfit,
@@ -141,11 +145,29 @@ def test_unobserved_row_matches_oracle(gamma):
 
 def test_design_is_built_once_per_problem():
     problem = _problem((50, 60), (0.5, 0.5))
-    (update, fixed, _), _ = _both_sides(problem, 1)
-    update(problem, fixed)
-    cached = problem.__dict__["_sampling_design"]["U"]
-    update(problem, fixed)
-    assert problem.__dict__["_sampling_design"]["U"] is cached
+    (update_u, v, _), (update_v, u, _) = _both_sides(problem, 1)
+    update_u(problem, v)
+    cached = problem.__dict__["_sampling_design"]
+    for _ in range(2):
+        update_v(problem, u)
+        update_u(problem, v)
+    solve(problem, max_sweeps=3)
+    assert problem.__dict__["_sampling_design"] is cached
+
+
+def test_design_memory_is_two_dense_arrays_plus_the_observations():
+    # weights 0 drop bin 2 from the design; n1 * n2 = 2400 exceeds the
+    # 900 live observations, so a third dense array would not fit
+    problem = _problem((400, 500, 300), (0.4, 0.6, 0.0), n1=60, n2=40, rank=2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _sampling_design(problem)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    floats = 2 * 60 * 40 + 2 * 900  # c and b, then each observation's index and y
+    assert 8 * floats < held <= 8 * floats + 4096  # 4 KiB for the Python containers
 
 
 @pytest.mark.parametrize("variant", ["sampling", "gaussian"])
