@@ -23,8 +23,9 @@ import numpy as np
 
 from . import __version__, ratings
 from .bundles import load_bundle, save_bundle
-from .core import FLOAT_FORMAT, RandomStream, write_csv
+from .core import COUNT, FLOAT_FORMAT, NONNEGATIVE, POSITIVE, SEEDS, RandomStream, write_csv
 from .experiments import (
+    DENSITIES,
     STRATEGIES,
     SweepConfig,
     _cell_data,
@@ -54,14 +55,15 @@ def _str_list(value) -> tuple[str, ...]:
     return tuple(str(v) for v in value)
 
 
-# The valid values of a numeric option: by destination, else by type.
+# The valid values of every numeric option, by destination: the library's
+# own rules, so the command line refuses what the library would.
 _RANGES = {
-    "seed": (lambda v: 0 <= v < 2**64, "in [0, 2**64)"),
-    "max_entry": (lambda v: v > 0, "positive"),
-    "p_grid": (lambda v: 0 < v <= 1, "in (0, 1]"),
-    "test_frac": (lambda v: 0 <= v < 1, "in [0, 1)"),
-    int: (lambda v: v >= 1, "at least 1"),
-    float: (lambda v: v >= 0, "nonnegative"),
+    "seed": SEEDS, "max_entry": POSITIVE, "p_grid": DENSITIES,
+    "test_frac": ratings.TEST_FRACTIONS,
+    **dict.fromkeys(("n1", "n2", "rank", "d", "m0", "trials", "max_sweeps", "threads",
+                     "folds", "restarts", "min_user_ratings", "min_item_ratings"), COUNT),
+    **dict.fromkeys(("noise_std", "drift_std", "drift_grid", "gamma", "tol", "kappa",
+                     "kappa_grid", "success_threshold"), NONNEGATIVE),
 }
 
 
@@ -110,14 +112,13 @@ class _Parser(argparse.ArgumentParser):
             value = getattr(namespace, action.dest, None)
             if value is None and action in self.required_options:
                 raise UsageError(f"missing required option {action.option_strings[0]}")
-            if action.type not in (int, float, _float_list) or value is None:
+            if action.dest not in _RANGES or value is None:
                 continue
-            kind = int if action.type is int else float
-            valid, rule = _RANGES.get(action.dest, _RANGES[kind])
+            valid = _RANGES[action.dest]
             for v in value if isinstance(value, tuple) else (value,):
-                if not valid(v):
+                if v not in valid:
                     flag = action.option_strings[0]
-                    raise UsageError(f"{flag} must be {rule}, not {v}")
+                    raise UsageError(f"{flag} must be {valid}, not {v}")
         return namespace, extras
 
     def _read_config(self, path) -> dict:
@@ -390,12 +391,15 @@ def build_parser() -> _Parser:
     add_seed(slv, required=False)
     slv.set_defaults(func=_cmd_solve)
 
-    for name, func, summary in (
-        ("sweep-error", _cmd_sweep_error, "recovery error vs drift level, CSV output"),
-        ("sweep-samples", _cmd_sweep_samples,
-         "minimal sampling density vs drift level, CSV output"),
+    sweep_help = {
+        "sweep-error": "recovery error vs drift level, CSV output",
+        "sweep-samples": "minimal sampling density vs drift level, CSV output",
+    }
+    for name, func in (
+        ("sweep-error", _cmd_sweep_error),
+        ("sweep-samples", _cmd_sweep_samples),
     ):
-        sw = sub.add_parser(name, help=summary)
+        sw = sub.add_parser(name, help=sweep_help[name])
         sw.add_argument("--config", help="JSON config file")
         for key in ("n1", "n2", "rank", "d"):
             sw.add_config_option(f"--{key}", type=int, required=True)

@@ -1,5 +1,6 @@
-"""Primitives shared across the package: keyed random streams, small
-dense-matrix helpers, and the package's one CSV table writer.
+"""Primitives shared across the package: keyed random streams, the valid
+ranges of numeric settings, small dense-matrix helpers, and the package's
+one CSV table writer.
 
 Reproducibility contract
 ------------------------
@@ -24,11 +25,34 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 FLOAT_FORMAT = "%.17g"
+
+
+@dataclass(frozen=True)
+class Range:
+    """The valid values of a numeric setting, stated once for the library's
+    checks and the command line's: ``value in range`` (never true for NaN),
+    and ``str(range)`` words the rule for an error message."""
+
+    test: Callable[[float], bool]
+    text: str
+
+    def __contains__(self, value) -> bool:
+        return bool(self.test(value))
+
+    def __str__(self) -> str:
+        return self.text
+
+
+COUNT = Range(lambda v: v >= 1, "at least 1")
+POSITIVE = Range(lambda v: v > 0, "positive")
+NONNEGATIVE = Range(lambda v: v >= 0, "nonnegative")
+SEEDS = Range(lambda v: 0 <= v < 2**64, "in [0, 2**64)")
 
 
 def _mix64(a: int, b: int) -> int:
@@ -59,7 +83,7 @@ class RandomStream:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)):
                 raise TypeError(f"{name} must be an integer")
-            if not 0 <= int(value) < 2**64:
+            if int(value) not in SEEDS:
                 raise ValueError(f"{name} must fit in an unsigned 64-bit int")
             object.__setattr__(self, name, int(value))
 

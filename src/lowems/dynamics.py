@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RandomStream
+from .core import COUNT, NONNEGATIVE, RandomStream
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,7 +35,7 @@ class DynamicGroundTruth:
             raise ValueError("U must be 2-D")
         if not self.V_seq or len(self.V_seq) != len(self.X_seq):
             raise ValueError("V_seq and X_seq must be nonempty and equal length")
-        if not self.drift_std >= 0:
+        if self.drift_std not in NONNEGATIVE:
             raise ValueError("drift_std must be nonnegative")
 
     @property
@@ -87,13 +87,13 @@ def generate_truth(
     U, the initial factor, and every increment, so any prefix of the sequence
     is reproducible independently of ``d``.
     """
-    if min(n1, n2) < 1:
+    if min(n1, n2) not in COUNT:
         raise ValueError("matrix dimensions must be positive")
     if not 1 <= rank <= min(n1, n2):
         raise ValueError(f"rank must be in [1, {min(n1, n2)}], got {rank}")
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    if not drift_std >= 0:
+    if d not in COUNT:
+        raise ValueError(f"d must be {COUNT}")
+    if drift_std not in NONNEGATIVE:
         raise ValueError("drift_std must be nonnegative")
 
     u = random_orthonormal(n1, rank, rng.child(0))

@@ -18,7 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import RandomStream, check_matrix, frobenius_norm, write_csv
+from .core import (
+    COUNT, NONNEGATIVE, RandomStream, Range, check_matrix, frobenius_norm, write_csv
+)
 from .dynamics import generate_truth
 from .measurement import observe, make_operator
 from .solver import DivergenceError, LowemsProblem, solve
@@ -31,6 +33,7 @@ from .weights import (
 )
 
 STRATEGIES = ("last_only", "equal", "optimal")
+DENSITIES = Range(lambda p: 0 < p <= 1, "in (0, 1]")
 
 
 def relative_error(x_hat, x) -> float:
@@ -140,13 +143,13 @@ def strategy_weights(
 
 
 def _check_config(cfg: SweepConfig, *, need_m0: bool) -> None:
-    if min(cfg.n1, cfg.n2) < 1:
+    if min(cfg.n1, cfg.n2) not in COUNT:
         raise ValueError("dimensions must be positive")
     if not 1 <= cfg.rank <= min(cfg.n1, cfg.n2):
         raise ValueError("rank out of range")
-    if cfg.d < 1 or cfg.trials < 1 or cfg.threads < 1:
+    if not all(v in COUNT for v in (cfg.d, cfg.trials, cfg.threads)):
         raise ValueError("d, trials, and threads must be positive")
-    if not (cfg.noise_std >= 0 and all(s >= 0 for s in cfg.drift_grid)):
+    if not all(s in NONNEGATIVE for s in (cfg.noise_std, *cfg.drift_grid)):
         raise ValueError("noise levels must be nonnegative")
     if not cfg.drift_grid:
         raise ValueError("drift_grid must be nonempty")
@@ -155,7 +158,7 @@ def _check_config(cfg: SweepConfig, *, need_m0: bool) -> None:
     for s in cfg.strategies:
         if s not in STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}")
-    if need_m0 and (cfg.m0 is None or cfg.m0 < 1):
+    if need_m0 and (cfg.m0 is None or cfg.m0 not in COUNT):
         raise ValueError("error sweep requires a positive m0")
 
 
@@ -263,8 +266,8 @@ def run_sample_sweep(cfg: SweepConfig) -> SweepResult:
     """
     _check_config(cfg, need_m0=False)
     p_grid = cfg.p_grid if cfg.p_grid is not None else default_p_grid()
-    if not p_grid or any(not 0 < p <= 1 for p in p_grid):
-        raise ValueError("p_grid must contain densities in (0, 1]")
+    if not p_grid or any(p not in DENSITIES for p in p_grid):
+        raise ValueError(f"p_grid must contain densities {DENSITIES}")
     if list(p_grid) != sorted(p_grid):
         raise ValueError("p_grid must be ascending")
     root = RandomStream(cfg.seed)
@@ -365,7 +368,7 @@ def theorem_diagnostics(cfg: SweepConfig, result: SweepResult) -> list[Diagnosti
     """
     if result.mode != "error":
         raise ValueError("diagnostics require an error-sweep result")
-    if cfg.m0 is None or cfg.m0 < 1:
+    if cfg.m0 is None or cfg.m0 not in COUNT:
         raise ValueError("config must carry the per-bin budget m0")
     n_max = max(cfg.n1, cfg.n2)
     m_total = cfg.d * cfg.m0

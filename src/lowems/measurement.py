@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import RandomStream, check_matrix, frobenius_norm
+from .core import COUNT, NONNEGATIVE, RandomStream, check_matrix, frobenius_norm
 from .dynamics import DynamicGroundTruth
 from .weights import WeightVector
 
@@ -186,7 +186,7 @@ def make_operator(
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if min(n1, n2) < 1 or m < 1:
+    if min(n1, n2, m) not in COUNT:
         raise ValueError("dimensions and m must be positive")
     if variant == "gaussian":
         if store:
@@ -271,8 +271,8 @@ def observe(
     ops = tuple(ops)
     if len(ops) != truth.d:
         raise ValueError(f"need {truth.d} operators, got {len(ops)}")
-    if not noise_std >= 0:
-        raise ValueError("noise_std must be nonnegative")
+    if noise_std not in NONNEGATIVE:
+        raise ValueError(f"noise_std must be {NONNEGATIVE}")
     sizes = {op.m for op in ops}
     if len(sizes) != 1:
         raise ValueError("observe requires a common per-bin measurement count")
@@ -321,8 +321,8 @@ def estimate_rip(
     the sampled low-rank directions; it is a probe, not a certified constant.
     """
     ops = tuple(ops)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    if trials not in COUNT:
+        raise ValueError(f"trials must be {COUNT}")
     n1, n2 = ops[0].n1, ops[0].n2
     if not 1 <= rank <= min(n1, n2):
         raise ValueError(f"rank must be in [1, {min(n1, n2)}], got {rank}")

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import RandomStream, write_csv
+from .core import COUNT, RandomStream, Range, write_csv
 from .dynamics import DynamicGroundTruth, generate_truth
 from .experiments import _aggregate
 from .measurement import ObservationSet, SamplingOperator
@@ -27,6 +27,7 @@ from .solver import DivergenceError, LowemsProblem, Solution, solve
 from .weights import optimal_weights
 
 HEADER = ("user_id", "item_id", "rating", "timestamp")
+TEST_FRACTIONS = Range(lambda f: 0 <= f < 1, "in [0, 1)")
 
 
 class EmptyResultError(ValueError):
@@ -156,8 +157,8 @@ def truncate(
     versa, hence the fixed-point loop.  Raises :class:`EmptyResultError`
     when nothing survives.
     """
-    if min_user_ratings < 1 or min_item_ratings < 1:
-        raise ValueError("thresholds must be at least 1")
+    if min(min_user_ratings, min_item_ratings) not in COUNT:
+        raise ValueError(f"thresholds must be {COUNT}")
     keep = np.ones(table.n, dtype=bool)
     while True:
         users = table.user_ids[keep]
@@ -203,8 +204,8 @@ class BinnedRatings:
 
 def bin_by_time(table: RatingsTable, d: int) -> BinnedRatings:
     """Assign each rating to one of ``d`` equal-width time bins."""
-    if d < 1:
-        raise ValueError("d must be at least 1")
+    if d not in COUNT:
+        raise ValueError(f"d must be {COUNT}")
     ts = table.timestamps
     lo, hi = int(ts.min()), int(ts.max())
     edges = np.linspace(lo, hi, d + 1)
@@ -238,10 +239,10 @@ def make_split(
     test_frac: float = 0.10,
     folds: int = 5,
 ) -> EvalSplit:
-    if not 0.0 <= test_frac < 1.0:
-        raise ValueError("test_frac must be in [0, 1)")
-    if folds < 1:
-        raise ValueError("folds must be at least 1")
+    if test_frac not in TEST_FRACTIONS:
+        raise ValueError(f"test_frac must be {TEST_FRACTIONS}")
+    if folds not in COUNT:
+        raise ValueError(f"folds must be {COUNT}")
     table = binned.table
     n = table.n
     n_test = int(round(test_frac * n))
@@ -442,8 +443,8 @@ def evaluate_test(
 ) -> TestEvaluation:
     """Refit on all non-test data with ``restarts`` random initializations
     and score each fit on the chronological test set."""
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
+    if restarts not in COUNT:
+        raise ValueError(f"restarts must be {COUNT}")
     table = binned.table
     in_test = np.zeros(table.n, dtype=bool)
     in_test[split.test_rows] = True

@@ -13,11 +13,12 @@ builder assembles the normal equations as a batch of systems plus a function
 giving the candidate's misfit, and the update adds the ridge, solves and
 reshapes.  Sampling gives one tiny system per output row; all rows come
 from one GEMM of dense merged weights (two ``n1 * n2`` arrays) cached on the
-problem.  Dense sensing gives one stacked system in ``n * rank`` unknowns
-from one pass over the operator; its design rows (one BLAS matmul per
-block) are kept, ``m * n * rank`` floats per live bin, so the misfit is read
-from them without producing the blocks a second time.  Replay-mode operators
-never materialize their sensing stack.
+problem, so its cost follows ``n1 * n2`` rather than the observation count.
+Dense sensing gives one stacked system in ``n * rank`` unknowns from one
+pass over the operator; its design rows (one BLAS matmul per block) are
+kept, ``m * n * rank`` floats per live bin, so the misfit is read from them
+without producing the blocks a second time.  Replay-mode operators never
+materialize their sensing stack.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RandomStream, frobenius_norm, top_r_svd
+from .core import (
+    COUNT, NONNEGATIVE, POSITIVE, RandomStream, check_matrix, frobenius_norm, top_r_svd
+)
 from .dynamics import DynamicGroundTruth
 from .measurement import ObservationSet, _live_bins
 from .weights import WeightVector
@@ -88,10 +91,10 @@ class LowemsProblem:
             raise ValueError(
                 f"rank must be in [1, {min(self.obs.n1, self.obs.n2)}]"
             )
-        if not self.gamma >= 0:
-            raise ValueError("gamma must be nonnegative")
-        if self.max_entry is not None and not self.max_entry > 0:
-            raise ValueError("max_entry must be positive when given")
+        if self.gamma not in NONNEGATIVE:
+            raise ValueError(f"gamma must be {NONNEGATIVE}")
+        if self.max_entry is not None and self.max_entry not in POSITIVE:
+            raise ValueError(f"max_entry must be {POSITIVE} when given")
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,9 +233,12 @@ def _sampling_system(
     """Per-row normal equations for the sampling variant, from the cached
     :func:`_sampling_design` in the weighted-ALS form (Hu, Koren and Volinsky,
     2008): Gram matrices ``c @ outer(fixed)``, right-hand sides ``b @ fixed``,
-    with ``c`` and ``b`` read transposed (views) for V.  Unobserved rows keep
-    an exactly zero Gram matrix.  The misfit is the explicit residual at each
-    live observation, summed per bin as in :func:`weighted_misfit`."""
+    with ``c`` and ``b`` read transposed (views) for V.  That costs
+    ``n1 * n2 * rank**2`` multiply-adds whatever the number of observations,
+    so it pays on densely sampled problems.  Unobserved rows keep an exactly
+    zero Gram matrix.  The misfit checks that the dense product is finite,
+    as :func:`weighted_misfit` does, then sums the explicit residual at each
+    live observation per bin."""
     c, b, flat, y, weights, starts = _sampling_design(problem)
     if side == "V":
         c, b = c.T, b.T
@@ -242,7 +248,7 @@ def _sampling_system(
 
     def misfit(x: np.ndarray) -> float:
         product = fixed @ x.T if side == "V" else x @ fixed.T
-        res = np.split(product.take(flat) - y, starts)
+        res = np.split(check_matrix(product, "x").take(flat) - y, starts)
         return 0.5 * sum(w_t * float(r_t @ r_t) for w_t, r_t in zip(weights, res))
 
     return gram, b @ fixed, misfit
@@ -329,10 +335,10 @@ def solve(
     the true objective, so a computed increase means the iteration has hit
     the floating-point floor and the previous iterate is kept.
     """
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be at least 1")
-    if not tol >= 0:
-        raise ValueError("tol must be nonnegative")
+    if max_sweeps not in COUNT:
+        raise ValueError(f"max_sweeps must be {COUNT}")
+    if tol not in NONNEGATIVE:
+        raise ValueError(f"tol must be {NONNEGATIVE}")
     pair = init_factors(problem, init, rng)
     u, v = pair.U, pair.V
     current = objective(problem, pair)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import NONNEGATIVE
+
 
 @dataclass(frozen=True, eq=False)
 class WeightVector:
@@ -62,7 +64,7 @@ def _check_d_kappa(d: int, kappa: float) -> float:
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise ValueError("d must be a positive integer")
     kappa = float(kappa)
-    if math.isnan(kappa) or kappa < 0:
+    if kappa not in NONNEGATIVE:
         raise ValueError("kappa must be nonnegative (or +inf)")
     return kappa
 
@@ -98,7 +100,7 @@ def kappa_for(noise_std: float, drift_std: float) -> float:
     """Noise ratio ``drift_std**2 / noise_std**2`` with the degenerate cases
     pinned: no drift means 0 (equal weights are optimal); drift with
     noiseless measurements means +inf (only the last bin is unbiased)."""
-    if not (noise_std >= 0 and drift_std >= 0):
+    if not (noise_std in NONNEGATIVE and drift_std in NONNEGATIVE):
         raise ValueError("standard deviations must be nonnegative")
     if drift_std == 0:
         return 0.0

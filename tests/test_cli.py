@@ -5,6 +5,7 @@ stderr config log can be asserted directly; one smoke test goes through
 ``python -m lowems`` to cover the module entry point.
 """
 
+import argparse
 import csv
 import json
 import subprocess
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from lowems.bundles import load_bundle
-from lowems.cli import main
+from lowems.cli import _RANGES, _float_list, build_parser, main
 from lowems.core import RandomStream
 from lowems.experiments import (
     SweepConfig,
@@ -678,6 +679,19 @@ class TestNonFiniteOptions:
         assert code == 1
         assert f"lowems: error: {message}" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_every_numeric_option_has_a_range(self):
+        # a numeric option missing from _RANGES would be checked by nothing
+        def parsers(parser):
+            yield parser
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for child in action.choices.values():
+                        yield from parsers(child)
+
+        numeric = {action.dest for parser in parsers(build_parser())
+                   for action in parser._actions if action.type in (int, float, _float_list)}
+        assert numeric == set(_RANGES)
 
     def test_infinite_kappa_logs_as_string(self, capsys, bundle_path, tmp_path):
         code, _, err = _run(

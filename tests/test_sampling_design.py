@@ -170,6 +170,16 @@ def test_design_memory_is_two_dense_arrays_plus_the_observations():
     assert 8 * floats < held <= 8 * floats + 4096  # 4 KiB for the Python containers
 
 
+def test_non_finite_product_is_refused_like_weighted_misfit():
+    # The candidate U is finite, but U @ V.T overflows at (1, 2), an entry
+    # with no observation; weighted_misfit refuses the whole product.
+    rows, cols = np.array([0, 1, 2, 3, 0, 1]), np.array([0, 1, 2, 0, 2, 0])
+    obs = ObservationSet((SamplingOperator(4, 3, rows, cols),), (np.full(6, 1e150),), 0.0)
+    problem = LowemsProblem(obs, WeightVector(np.ones(1)), 1)
+    with pytest.raises(ValueError, match="x contains non-finite entries"):
+        _factor_update(problem, np.array([[1e-100], [1e-100], [1e100]]), "U")
+
+
 @pytest.mark.parametrize("variant", ["sampling", "gaussian"])
 def test_rank_deficiency_warning_names_the_caller(variant):
     # a zero fixed factor makes every Gram matrix exactly singular
