@@ -244,7 +244,10 @@ def _cmd_solve(args) -> int:
 
 def _sweep_config(args) -> SweepConfig:
     fields = {f.name for f in dataclasses.fields(SweepConfig)}
-    return SweepConfig(**{k: v for k, v in vars(args).items() if k in fields})
+    try:
+        return SweepConfig(**{k: v for k, v in vars(args).items() if k in fields})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _cmd_sweep_error(args) -> int:

@@ -56,6 +56,8 @@ class SweepConfig:
     the sample sweep (per-bin budget ``round(p * n1 * n2)`` per grid point,
     defaulting to 20 log-spaced densities in [0.02, 1]).  ``drift_grid``
     lists the drift levels; ``strategies`` the weightings to compare.
+    Invalid settings are refused when the config is built, except the error
+    sweep's need for ``m0``, which that sweep checks.
     """
 
     n1: int
@@ -76,7 +78,28 @@ class SweepConfig:
     tol: float = 1e-8
     threads: int = 1
     success_threshold: float = 0.04
-    collect_traces: bool = False
+
+    def __post_init__(self) -> None:
+        if min(self.n1, self.n2) not in COUNT:
+            raise ValueError("dimensions must be positive")
+        if not 1 <= self.rank <= min(self.n1, self.n2):
+            raise ValueError("rank out of range")
+        if not all(v in COUNT for v in (self.d, self.trials, self.threads)):
+            raise ValueError("d, trials, and threads must be positive")
+        if not all(s in NONNEGATIVE for s in (self.noise_std, *self.drift_grid)):
+            raise ValueError("noise levels must be nonnegative")
+        if not self.drift_grid:
+            raise ValueError("drift_grid must be nonempty")
+        if not self.strategies:
+            raise ValueError("strategies must be nonempty")
+        for s in self.strategies:
+            if s not in STRATEGIES:
+                raise ValueError(f"unknown strategy {s!r}")
+        if self.p_grid is not None:
+            if not self.p_grid or any(p not in DENSITIES for p in self.p_grid):
+                raise ValueError(f"p_grid must contain densities {DENSITIES}")
+            if list(self.p_grid) != sorted(self.p_grid):
+                raise ValueError("p_grid must be ascending")
 
 
 @dataclass(frozen=True)
@@ -104,7 +127,7 @@ class MinSampleRow:
 
 @dataclass(eq=False)
 class SweepResult:
-    """Rows of one sweep plus (optionally) every solver objective trace."""
+    """Rows of one sweep plus every completed solve's objective trace."""
 
     mode: str  # "error" | "samples"
     rows: list
@@ -142,26 +165,6 @@ def strategy_weights(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _check_config(cfg: SweepConfig, *, need_m0: bool) -> None:
-    if min(cfg.n1, cfg.n2) not in COUNT:
-        raise ValueError("dimensions must be positive")
-    if not 1 <= cfg.rank <= min(cfg.n1, cfg.n2):
-        raise ValueError("rank out of range")
-    if not all(v in COUNT for v in (cfg.d, cfg.trials, cfg.threads)):
-        raise ValueError("d, trials, and threads must be positive")
-    if not all(s in NONNEGATIVE for s in (cfg.noise_std, *cfg.drift_grid)):
-        raise ValueError("noise levels must be nonnegative")
-    if not cfg.drift_grid:
-        raise ValueError("drift_grid must be nonempty")
-    if not cfg.strategies:
-        raise ValueError("strategies must be nonempty")
-    for s in cfg.strategies:
-        if s not in STRATEGIES:
-            raise ValueError(f"unknown strategy {s!r}")
-    if need_m0 and (cfg.m0 is None or cfg.m0 not in COUNT):
-        raise ValueError("error sweep requires a positive m0")
-
-
 def _cell_data(cfg: SweepConfig, drift_std: float, m0: int, stream: RandomStream):
     """One synthetic dataset, for a sweep cell and for ``lowems generate`` (any
     ``cfg`` with the problem fields): truth on ``stream.child(0)``, bin ``t``'s
@@ -180,7 +183,7 @@ def _cell_data(cfg: SweepConfig, drift_std: float, m0: int, stream: RandomStream
 
 def _solve_cell(cfg: SweepConfig, obs, truth, drift_std: float, stream: RandomStream):
     """Fit every strategy on one dataset; returns strategy -> error (or None
-    on divergence) plus the objective traces when requested."""
+    on divergence) plus the objective trace of each completed solve."""
     errors: dict[str, float | None] = {}
     traces: list[np.ndarray] = []
     for strategy in cfg.strategies:
@@ -203,8 +206,7 @@ def _solve_cell(cfg: SweepConfig, obs, truth, drift_std: float, stream: RandomSt
             errors[strategy] = None
             continue
         errors[strategy] = relative_error(sol.X_hat, truth.X_seq[-1])
-        if cfg.collect_traces:
-            traces.append(sol.objective_trace)
+        traces.append(sol.objective_trace)
     return errors, traces
 
 
@@ -221,7 +223,8 @@ def _aggregate(values: list[float]) -> tuple[float, float, int]:
 def run_error_sweep(cfg: SweepConfig) -> SweepResult:
     """Mean relative recovery error per (drift level, strategy) at a fixed
     per-bin measurement budget ``cfg.m0``."""
-    _check_config(cfg, need_m0=True)
+    if cfg.m0 is None or cfg.m0 not in COUNT:
+        raise ValueError("error sweep requires a positive m0")
     root = RandomStream(cfg.seed)
     cells = [
         (si, ti) for si in range(len(cfg.drift_grid)) for ti in range(cfg.trials)
@@ -264,12 +267,7 @@ def run_sample_sweep(cfg: SweepConfig) -> SweepResult:
     the first success is the minimum).  Datasets are keyed by
     (drift index, density index, trial), shared across strategies.
     """
-    _check_config(cfg, need_m0=False)
     p_grid = cfg.p_grid if cfg.p_grid is not None else default_p_grid()
-    if not p_grid or any(p not in DENSITIES for p in p_grid):
-        raise ValueError(f"p_grid must contain densities {DENSITIES}")
-    if list(p_grid) != sorted(p_grid):
-        raise ValueError("p_grid must be ascending")
     root = RandomStream(cfg.seed)
     lanes = [
         (si, strategy)

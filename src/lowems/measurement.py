@@ -119,12 +119,13 @@ class GaussianOperator:
 class SamplingOperator:
     """Entry-sampling operator: measurement ``i`` reads entry
     ``(rows[i], cols[i])``.  Duplicates are legal and accumulate in the
-    adjoint."""
+    adjoint.  ``flat`` is each entry's position ``rows * n2 + cols``."""
 
     n1: int
     n2: int
     rows: np.ndarray
     cols: np.ndarray
+    flat: np.ndarray = field(init=False, repr=False)
 
     variant = "sampling"
 
@@ -139,10 +140,10 @@ class SamplingOperator:
             raise ValueError("row indices out of range")
         if cols.min() < 0 or cols.max() >= self.n2:
             raise ValueError("column indices out of range")
-        rows.setflags(write=False)
-        cols.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+        flat = rows * self.n2 + cols
+        for name, value in (("rows", rows), ("cols", cols), ("flat", flat)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
@@ -157,14 +158,13 @@ class SamplingOperator:
         x = check_matrix(x, "x")
         if x.shape != (self.n1, self.n2):
             raise ValueError(f"x has shape {x.shape}, expected {(self.n1, self.n2)}")
-        return x[self.rows, self.cols].astype(float, copy=True)
+        return x.take(self.flat)
 
     def adjoint(self, b) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         if b.shape != (self.m,):
             raise ValueError(f"b has shape {b.shape}, expected {(self.m,)}")
-        flat = np.bincount(self.rows * self.n2 + self.cols, b, self.n1 * self.n2)
-        return flat.reshape(self.n1, self.n2)
+        return np.bincount(self.flat, b, self.n1 * self.n2).reshape(self.n1, self.n2)
 
 
 LinearOperator = GaussianOperator | SamplingOperator

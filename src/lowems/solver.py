@@ -206,24 +206,21 @@ def _factor_update(
     return factor, misfit(factor)
 
 
-def _sampling_design(problem: LowemsProblem) -> tuple:
-    """Sampling observations laid out for both sides, cached on the problem
-    (its inputs are read-only): the merged weights ``c[i, j] = sum w_t`` and
-    ``b[i, j] = sum w_t * y`` of the live bins' entries at ``(i, j)``, dense
-    ``(n1, n2)`` arrays summed in input order, then each live observation's
-    flat index and value, the live bins' weights and where each bin starts."""
+def _sampling_design(problem: LowemsProblem) -> tuple[np.ndarray, np.ndarray]:
+    """The merged weights ``c[i, j] = sum w_t`` and ``b[i, j] = sum w_t * y``
+    of the live bins' observations of entry ``(i, j)``, as dense ``(n1, n2)``
+    arrays summed in input order over the operators' ``flat`` positions, and
+    cached on the problem (its inputs are read-only).  Nothing else is kept."""
     design = problem.__dict__.get("_sampling_design")
     if design is None:
         obs = problem.obs
         live = _live_bins(problem.weights.w, obs.ops, obs.y)
-        flat = np.concatenate([op.rows * obs.n2 + op.cols for _, op, _ in live])
+        flat = np.concatenate([op.flat for _, op, _ in live])
         y = np.concatenate([y_t for _, _, y_t in live])
         w = np.concatenate([np.full(op.m, w_t) for w_t, op, _ in live])
         c = np.bincount(flat, w, obs.n1 * obs.n2).reshape(obs.n1, obs.n2)
         b = np.bincount(flat, w * y, obs.n1 * obs.n2).reshape(obs.n1, obs.n2)
-        starts = np.cumsum([op.m for _, op, _ in live])[:-1]
-        design = (c, b, flat, y, [w_t for w_t, _, _ in live], starts)
-        problem.__dict__["_sampling_design"] = design
+        design = problem.__dict__["_sampling_design"] = (c, b)
     return design
 
 
@@ -236,20 +233,21 @@ def _sampling_system(
     with ``c`` and ``b`` read transposed (views) for V.  That costs
     ``n1 * n2 * rank**2`` multiply-adds whatever the number of observations,
     so it pays on densely sampled problems.  Unobserved rows keep an exactly
-    zero Gram matrix.  The misfit checks that the dense product is finite,
-    as :func:`weighted_misfit` does, then sums the explicit residual at each
-    live observation per bin."""
-    c, b, flat, y, weights, starts = _sampling_design(problem)
+    zero Gram matrix.  The misfit reads each live bin through its operator's
+    ``flat`` positions; unlike :func:`weighted_misfit`, which scans the
+    product for non-finite entries once per bin, it scans once per product."""
+    c, b = _sampling_design(problem)
     if side == "V":
         c, b = c.T, b.T
     r = fixed.shape[1]
     outer = (fixed[:, :, None] * fixed[:, None, :]).reshape(-1, r * r)
     gram = (c @ outer).reshape(n_out, r, r)
+    live = _live_bins(problem.weights.w, problem.obs.ops, problem.obs.y)
 
     def misfit(x: np.ndarray) -> float:
-        product = fixed @ x.T if side == "V" else x @ fixed.T
-        res = np.split(check_matrix(product, "x").take(flat) - y, starts)
-        return 0.5 * sum(w_t * float(r_t @ r_t) for w_t, r_t in zip(weights, res))
+        product = check_matrix(fixed @ x.T if side == "V" else x @ fixed.T, "x")
+        res = ((w_t, product.take(op.flat) - y_t) for w_t, op, y_t in live)
+        return 0.5 * sum(w_t * float(r_t @ r_t) for w_t, r_t in res)
 
     return gram, b @ fixed, misfit
 

@@ -75,7 +75,7 @@ def drift_sweep():
         n1=100, n2=50, rank=5, d=4, noise_std=0.05,
         drift_grid=(1e-3, 1.0), seed=1234, m0=4000,
         strategies=("last_only", "optimal"), trials=10,
-        variant="sampling", collect_traces=True,
+        variant="sampling",
     )
     t0 = time.perf_counter()
     result = run_error_sweep(cfg)
@@ -89,7 +89,7 @@ def density_sweep():
         n1=100, n2=50, rank=5, d=4, noise_std=0.05,
         drift_grid=(1e-3,), seed=777,
         strategies=("last_only", "optimal"), trials=5,
-        variant="sampling", success_threshold=0.04, collect_traces=True,
+        variant="sampling", success_threshold=0.04,
     )
     t0 = time.perf_counter()
     result = run_sample_sweep(cfg)

@@ -667,10 +667,15 @@ class TestNonFiniteOptions:
             *[([*_ERROR_SWEEP, flag, "0"], f"{flag} must be at least 1, not 0")
               for flag in _COUNT_FLAGS],
             ([*_RATINGS_CV, "--folds", "0"], "--folds must be at least 1, not 0"),
+            # constraints between options or against a fixed list
+            ([*_ERROR_SWEEP, "--rank", "5"], "rank out of range"),
+            ([*_ERROR_SWEEP, "--strategies", "foo"], "unknown strategy 'foo'"),
+            ([*_SAMPLE_SWEEP, "--p-grid", "0.5,0.2"], "p_grid must be ascending"),
         ],
         ids=["generate", "sweep-error", "ratings-eval", "max-entry", "p-grid-zero",
              "p-grid-above-one", "test-frac", "seed",
-             *[f"count{flag}" for flag in _COUNT_FLAGS], "folds"],
+             *[f"count{flag}" for flag in _COUNT_FLAGS], "folds",
+             "rank-above-dimensions", "unknown-strategy", "p-grid-descending"],
     )
     def test_negative_value_is_usage_error(self, capsys, tmp_path, monkeypatch,
                                            argv, message):

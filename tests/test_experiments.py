@@ -117,8 +117,8 @@ class TestErrorSweep:
             assert values[i] >= max(values[: i - 1])
 
     @pytest.mark.filterwarnings("ignore::lowems.solver.RankDeficiencyWarning")
-    def test_traces_collected_on_request(self):
-        cfg = _tiny_error_cfg(collect_traces=True, trials=2, drift_grid=(0.1,))
+    def test_every_solve_keeps_its_trace(self):
+        cfg = _tiny_error_cfg(trials=2, drift_grid=(0.1,))
         res = run_error_sweep(cfg)
         assert len(res.traces) == 2 * len(cfg.strategies)
         for trace in res.traces:

@@ -124,6 +124,27 @@ class TestSamplingOperator:
         out = op.adjoint(np.array([1.0, 1.0, 5.0]))
         np.testing.assert_array_equal(out, [[2.0, 0.0], [0.0, 5.0]])
 
+    def test_flat_is_the_row_major_position_and_read_only(self):
+        op = make_operator("sampling", 8, 7, 30, RandomStream(15))
+        np.testing.assert_array_equal(op.flat, op.rows * 7 + op.cols)
+        with pytest.raises(ValueError):
+            op.flat[0] = 0
+
+    def test_apply_matches_fancy_indexing_on_a_transposed_input(self):
+        rows, cols = np.array([0, 2, 2, 1, 0, 2]), np.array([3, 0, 0, 1, 3, 2])
+        op = SamplingOperator(3, 4, rows, cols)
+        x = RandomStream(16).generator().standard_normal((4, 3)).T
+        assert not x.flags.c_contiguous
+        got = op.apply(x)
+        assert got.tobytes() == x[rows, cols].tobytes()
+
+    def test_adjoint_matches_bincount_of_the_positions(self):
+        op = make_operator("sampling", 6, 5, 80, RandomStream(17))  # duplicates
+        assert len(set(op.flat.tolist())) < op.m
+        b = RandomStream(18).generator().standard_normal(80)
+        want = np.bincount(op.rows * 5 + op.cols, b, 30).reshape(6, 5)
+        assert op.adjoint(b).tobytes() == want.tobytes()
+
     def test_adjoint_identity(self):
         op = make_operator("sampling", 8, 7, 30, RandomStream(11))
         gen = RandomStream(12).generator()

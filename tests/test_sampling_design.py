@@ -155,9 +155,10 @@ def test_design_is_built_once_per_problem():
     assert problem.__dict__["_sampling_design"] is cached
 
 
-def test_design_memory_is_two_dense_arrays_plus_the_observations():
-    # weights 0 drop bin 2 from the design; n1 * n2 = 2400 exceeds the
-    # 900 live observations, so a third dense array would not fit
+def test_design_memory_is_two_dense_arrays():
+    # weights 0 drop bin 2 from the design; the 900 live observations come
+    # to less than a third dense array (n1 * n2 = 2400), but the 4 KiB slack
+    # holds neither their indices nor their values
     problem = _problem((400, 500, 300), (0.4, 0.6, 0.0), n1=60, n2=40, rank=2)
     tracemalloc.start()
     try:
@@ -166,7 +167,7 @@ def test_design_memory_is_two_dense_arrays_plus_the_observations():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    floats = 2 * 60 * 40 + 2 * 900  # c and b, then each observation's index and y
+    floats = 2 * 60 * 40  # c and b
     assert 8 * floats < held <= 8 * floats + 4096  # 4 KiB for the Python containers
 
 
