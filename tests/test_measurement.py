@@ -137,6 +137,7 @@ class TestSamplingOperator:
         assert not x.flags.c_contiguous
         got = op.apply(x)
         assert got.tobytes() == x[rows, cols].tobytes()
+        assert not np.shares_memory(got, x)
 
     def test_adjoint_matches_bincount_of_the_positions(self):
         op = make_operator("sampling", 6, 5, 80, RandomStream(17))  # duplicates
