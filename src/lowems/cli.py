@@ -23,7 +23,9 @@ import numpy as np
 
 from . import __version__, ratings
 from .bundles import load_bundle, save_bundle
-from .core import COUNT, FLOAT_FORMAT, NONNEGATIVE, POSITIVE, SEEDS, RandomStream, write_csv
+from .core import (
+    COUNT, FLOAT_FORMAT, NONNEGATIVE, POSITIVE, SEEDS, RandomStream, check_rank, write_csv
+)
 from .experiments import (
     DENSITIES,
     STRATEGIES,
@@ -169,6 +171,14 @@ def _log_config(args) -> None:
     )
 
 
+def _check_rank(args, n1: int, n2: int) -> None:
+    """The library's rank rule for ``--rank`` against the dimensions, as a usage error."""
+    try:
+        check_rank(args.rank, n1, n2)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _parse_weights(spec: str, d: int, kappa: float | None) -> WeightVector:
     if spec in ("last", "last_only"):
         return baseline_weights(d, "last_only")
@@ -195,6 +205,7 @@ def _parse_weights(spec: str, d: int, kappa: float | None) -> WeightVector:
 
 
 def _cmd_generate(args) -> int:
+    _check_rank(args, args.n1, args.n2)
     truth, obs = _cell_data(args, args.drift_std, args.m0, RandomStream(args.seed))
     save_bundle(args.out, obs)
     if args.dump_x:
@@ -214,6 +225,7 @@ def _cmd_solve(args) -> int:
         obs = load_bundle(args.bundle)
     except (OSError, KeyError, ValueError) as exc:
         raise UsageError(f"cannot load bundle {args.bundle}: {exc}") from None
+    _check_rank(args, obs.n1, obs.n2)
     weights = _parse_weights(args.weights, obs.d, args.kappa)
     problem = LowemsProblem(
         obs, weights, args.rank, gamma=args.gamma, max_entry=args.max_entry
@@ -279,6 +291,7 @@ def _cmd_sweep_samples(args) -> int:
 
 
 def _cmd_rip_probe(args) -> int:
+    _check_rank(args, args.n1, args.n2)
     weights = _parse_weights(args.weights, args.d, args.kappa)
     root = RandomStream(args.seed)
     ops = [

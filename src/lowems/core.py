@@ -11,6 +11,9 @@ bit generator keyed by exactly that pair, so the same pair always replays the
 same variates on any platform.  Independent substreams are derived with
 ``child(k)``, which mixes the index into the stream id with a splitmix64-style
 finalizer; no generator state is ever shared or advanced between call sites.
+Philox is counter-based, so ``generator(position)`` restored to a position
+(a ``bit_generator.state``) recorded from a generator of the same stream draws
+exactly the variates that generator went on to draw.
 
 CSV dialect
 -----------
@@ -87,10 +90,13 @@ class RandomStream:
                 raise ValueError(f"{name} must fit in an unsigned 64-bit int")
             object.__setattr__(self, name, int(value))
 
-    def generator(self) -> np.random.Generator:
-        """Fresh generator positioned at the start of this stream."""
+    def generator(self, position: dict | None = None) -> np.random.Generator:
+        """Fresh generator at the start of this stream, or at a recorded ``position``."""
         key = np.array([self.seed, self.stream], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        gen = np.random.Generator(np.random.Philox(key=key))
+        if position is not None:
+            gen.bit_generator.state = position
+        return gen
 
     def child(self, index: int) -> "RandomStream":
         """Derive the ``index``-th substream of this stream."""
@@ -112,6 +118,12 @@ def check_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def check_rank(rank: int, n1: int, n2: int) -> None:
+    """Reject a rank outside ``[1, min(n1, n2)]``, with the package's one message."""
+    if not 1 <= rank <= min(n1, n2):
+        raise ValueError(f"rank must be in [1, {min(n1, n2)}], got {rank}")
+
+
 def frobenius_norm(m) -> float:
     """Square root of the sum of squared entries."""
     a = np.asarray(m, dtype=float)
@@ -127,8 +139,7 @@ def top_r_svd(m, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     non-convergence surfaces as ``numpy.linalg.LinAlgError``.
     """
     a = check_matrix(m, "matrix")
-    if not 1 <= rank <= min(a.shape):
-        raise ValueError(f"rank must be in [1, {min(a.shape)}], got {rank}")
+    check_rank(rank, *a.shape)
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     s = s.copy()
     if s[0] > 0.0:

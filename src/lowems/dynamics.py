@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import COUNT, NONNEGATIVE, RandomStream
+from .core import COUNT, NONNEGATIVE, RandomStream, check_rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,8 +89,7 @@ def generate_truth(
     """
     if min(n1, n2) not in COUNT:
         raise ValueError("matrix dimensions must be positive")
-    if not 1 <= rank <= min(n1, n2):
-        raise ValueError(f"rank must be in [1, {min(n1, n2)}], got {rank}")
+    check_rank(rank, n1, n2)
     if d not in COUNT:
         raise ValueError(f"d must be {COUNT}")
     if drift_std not in NONNEGATIVE:

@@ -19,7 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    COUNT, NONNEGATIVE, RandomStream, Range, check_matrix, frobenius_norm, write_csv
+    COUNT, NONNEGATIVE, RandomStream, Range, check_matrix, check_rank, frobenius_norm,
+    write_csv,
 )
 from .dynamics import generate_truth
 from .measurement import observe, make_operator
@@ -82,8 +83,7 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if min(self.n1, self.n2) not in COUNT:
             raise ValueError("dimensions must be positive")
-        if not 1 <= self.rank <= min(self.n1, self.n2):
-            raise ValueError("rank out of range")
+        check_rank(self.rank, self.n1, self.n2)
         if not all(v in COUNT for v in (self.d, self.trials, self.threads)):
             raise ValueError("d, trials, and threads must be positive")
         if not all(s in NONNEGATIVE for s in (self.noise_std, *self.drift_grid)):

@@ -13,17 +13,23 @@ Two operator families are supported:
 Gaussian operators can either store their sensing matrices or regenerate
 them on demand from the stream that defined them (``store=False``), trading
 CPU for memory on large sweeps.  Both modes draw the matrices through the
-same chunked construction, so they are bit-identical.
+same chunked construction, so they are bit-identical.  Each block is drawn in
+pieces, one per usable CPU.  A replay operator's first full pass records the
+stream position where each piece starts; later passes draw a block's pieces
+on all CPUs at once, from generators restored to those positions, with the
+same bits.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import COUNT, NONNEGATIVE, RandomStream, check_matrix, frobenius_norm
+from .core import COUNT, NONNEGATIVE, RandomStream, check_matrix, check_rank, frobenius_norm
 from .dynamics import DynamicGroundTruth
 from .weights import WeightVector
 
@@ -35,26 +41,49 @@ def _block_rows(n1: int, n2: int) -> int:
     return max(1, (1 << 22) // (n1 * n2))
 
 
+def _workers() -> int:
+    """Usable CPUs: the number of pieces each Gaussian block is drawn in."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _gaussian_blocks(
-    source: RandomStream, m: int, n1: int, n2: int, out: np.ndarray | None = None
+    source: RandomStream, m: int, n1: int, n2: int, out: np.ndarray | None = None,
+    pieces: list | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(start, block)`` chunks of the sensing stack for a stream.
 
     This is the canonical construction for both stored and replay operators:
-    one generator consumed sequentially in fixed-size blocks scaled to entry
+    one stream consumed in order, in fixed-size blocks scaled to entry
     standard deviation ``1/sqrt(m)``.  With ``out`` (an ``(m, n1, n2)``
     array) each block is drawn and scaled in place in its rows of ``out``.
+    Each block is drawn in pieces, a share of its rows per usable CPU.  A pass
+    without ``pieces`` draws them in turn and returns each piece's ``(lo, hi,
+    position)``, per block; given those, a pass draws the pieces in parallel.
     """
-    gen = source.generator()
-    scale = 1.0 / np.sqrt(m)
-    block = _block_rows(n1, n2)
-    for start in range(0, m, block):
-        count = min(block, m - start)
-        chunk = np.empty((count, n1, n2)) if out is None else out[start : start + count]
-        gen.standard_normal(out=chunk)
-        chunk *= scale
-        yield start, chunk
-        del chunk  # a consumer that drops the block frees it before the next draw
+    gen, recorded, k = source.generator(), [], _workers()
+    scale, block = 1.0 / np.sqrt(m), _block_rows(n1, n2)
+
+    def draw(g: np.random.Generator, lo: int, hi: int) -> None:  # rows lo:hi of chunk
+        g.standard_normal(out=chunk[lo:hi])  # releases the GIL while it fills
+        chunk[lo:hi] *= scale
+
+    with ThreadPoolExecutor(k) as pool:  # starts threads only for replayed pieces
+        run = pool.map if k > 1 else map
+        for b, start in enumerate(range(0, m, block)):
+            count = min(block, m - start)
+            chunk = np.empty((count, n1, n2)) if out is None else out[start : start + count]
+            if pieces is None:
+                recorded.append([])
+                for i in range(k):
+                    lo, hi = count * i // k, count * (i + 1) // k
+                    recorded[-1].append((lo, hi, gen.bit_generator.state))
+                    draw(gen, lo, hi)
+            else:
+                list(run(lambda p: draw(source.generator(p[2]), p[0], p[1]), pieces[b]))
+            yield start, chunk
+            del chunk  # a consumer that drops the block frees it before the next draw
+    return recorded if pieces is None else pieces
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +120,9 @@ class GaussianOperator:
             for start in range(0, self.m, block):
                 yield start, self.matrices[start : start + block]
         else:
-            yield from _gaussian_blocks(self.source, self.m, self.n1, self.n2)
+            self.__dict__["_pieces"] = yield from _gaussian_blocks(
+                self.source, self.m, self.n1, self.n2, pieces=self.__dict__.get("_pieces")
+            )
 
     def apply(self, x) -> np.ndarray:
         x = check_matrix(x, "x")
@@ -118,8 +149,9 @@ class GaussianOperator:
 @dataclass(frozen=True, eq=False)
 class SamplingOperator:
     """Entry-sampling operator: measurement ``i`` reads entry
-    ``(rows[i], cols[i])``.  Duplicates are legal and accumulate in the
-    adjoint.  ``flat`` is each entry's position ``rows * n2 + cols``."""
+    ``(rows[i], cols[i])``, kept as read-only int64 copies.  Duplicates are
+    legal and accumulate in the adjoint.  ``flat`` is each entry's position
+    ``rows * n2 + cols``."""
 
     n1: int
     n2: int
@@ -132,8 +164,8 @@ class SamplingOperator:
     def __post_init__(self) -> None:
         if min(self.n1, self.n2) < 1:
             raise ValueError("operator dimensions must be positive")
-        rows = np.asarray(self.rows, dtype=np.int64)
-        cols = np.asarray(self.cols, dtype=np.int64)
+        rows = np.array(self.rows, dtype=np.int64)
+        cols = np.array(self.cols, dtype=np.int64)
         if rows.ndim != 1 or rows.shape != cols.shape or rows.size < 1:
             raise ValueError("rows/cols must be equal-length nonempty 1-D arrays")
         if rows.min() < 0 or rows.max() >= self.n1:
@@ -324,8 +356,7 @@ def estimate_rip(
     if trials not in COUNT:
         raise ValueError(f"trials must be {COUNT}")
     n1, n2 = ops[0].n1, ops[0].n2
-    if not 1 <= rank <= min(n1, n2):
-        raise ValueError(f"rank must be in [1, {min(n1, n2)}], got {rank}")
+    check_rank(rank, n1, n2)
     worst = 0.0
     for i in range(trials):
         gen = rng.child(i).generator()

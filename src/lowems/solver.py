@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    COUNT, NONNEGATIVE, POSITIVE, RandomStream, check_matrix, frobenius_norm, top_r_svd
+    COUNT, NONNEGATIVE, POSITIVE, RandomStream, check_matrix, check_rank, frobenius_norm,
+    top_r_svd,
 )
 from .dynamics import DynamicGroundTruth
 from .measurement import ObservationSet, _live_bins
@@ -87,10 +88,7 @@ class LowemsProblem:
             raise ValueError(
                 f"weight length {len(self.weights)} != bin count {self.obs.d}"
             )
-        if not 1 <= self.rank <= min(self.obs.n1, self.obs.n2):
-            raise ValueError(
-                f"rank must be in [1, {min(self.obs.n1, self.obs.n2)}]"
-            )
+        check_rank(self.rank, self.obs.n1, self.obs.n2)
         if self.gamma not in NONNEGATIVE:
             raise ValueError(f"gamma must be {NONNEGATIVE}")
         if self.max_entry is not None and self.max_entry not in POSITIVE:

@@ -668,19 +668,28 @@ class TestNonFiniteOptions:
               for flag in _COUNT_FLAGS],
             ([*_RATINGS_CV, "--folds", "0"], "--folds must be at least 1, not 0"),
             # constraints between options or against a fixed list
-            ([*_ERROR_SWEEP, "--rank", "5"], "rank out of range"),
+            ([*_ERROR_SWEEP, "--rank", "5"], "rank must be in [1, 3], got 5"),
+            (["generate", "--n1", "4", "--n2", "3", "--rank", "5", "--d", "1", "--m0", "8",
+              "--out", "b.npz", "--seed", "1"], "rank must be in [1, 3], got 5"),
+            (["rip-probe", "--n1", "4", "--n2", "3", "--rank", "5", "--m0", "8",
+              "--weights", "equal", "--out", "r.csv", "--seed", "1"],
+             "rank must be in [1, 3], got 5"),
+            # "BUNDLE" stands for the module's 8x6 bundle
+            (["solve", "--bundle", "BUNDLE", "--weights", "equal", "--rank", "7",
+              "--out-x", "x.csv"], "rank must be in [1, 6], got 7"),
             ([*_ERROR_SWEEP, "--strategies", "foo"], "unknown strategy 'foo'"),
             ([*_SAMPLE_SWEEP, "--p-grid", "0.5,0.2"], "p_grid must be ascending"),
         ],
         ids=["generate", "sweep-error", "ratings-eval", "max-entry", "p-grid-zero",
              "p-grid-above-one", "test-frac", "seed",
              *[f"count{flag}" for flag in _COUNT_FLAGS], "folds",
-             "rank-above-dimensions", "unknown-strategy", "p-grid-descending"],
+             "rank-above-dimensions", "generate-rank", "rip-probe-rank", "solve-rank",
+             "unknown-strategy", "p-grid-descending"],
     )
-    def test_negative_value_is_usage_error(self, capsys, tmp_path, monkeypatch,
+    def test_negative_value_is_usage_error(self, capsys, tmp_path, monkeypatch, bundle_path,
                                            argv, message):
         monkeypatch.chdir(tmp_path)
-        code, _, err = _run(capsys, argv)
+        code, _, err = _run(capsys, [str(bundle_path) if a == "BUNDLE" else a for a in argv])
         assert code == 1
         assert f"lowems: error: {message}" in err
         assert list(tmp_path.iterdir()) == []

@@ -19,6 +19,14 @@ class TestRandomStream:
         b = RandomStream(5, 7).generator().standard_normal(100)
         np.testing.assert_array_equal(a, b)
 
+    def test_restored_position_continues_the_stream(self):
+        stream = RandomStream(5, 7)
+        whole = stream.generator().standard_normal(100)
+        gen = stream.generator()
+        gen.standard_normal(37)
+        position = gen.bit_generator.state
+        np.testing.assert_array_equal(stream.generator(position).standard_normal(63), whole[37:])
+
     def test_distinct_streams_differ(self):
         a = RandomStream(5, 1).generator().standard_normal(100)
         b = RandomStream(5, 2).generator().standard_normal(100)

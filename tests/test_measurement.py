@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -81,25 +83,86 @@ class TestGaussianOperator:
             stored.matrices, np.concatenate([block for _, block in blocks])
         )
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_every_replay_pass_equals_the_stored_stack(self, monkeypatch, workers):
+        # 5-row blocks of m = 17: the last block has 2 rows, fewer than 3 workers
+        monkeypatch.setattr(measurement, "_block_rows", lambda n1, n2: 5)
+        monkeypatch.setattr(measurement, "_workers", lambda: workers)
+        stored = make_operator("gaussian", 4, 3, 17, RandomStream(12))
+        replay = make_operator("gaussian", 4, 3, 17, RandomStream(12), store=False)
+        for _ in range(3):
+            blocks = list(replay.iter_blocks())
+            assert [start for start, _ in blocks] == [0, 5, 10, 15]
+            np.testing.assert_array_equal(
+                stored.matrices, np.concatenate([block for _, block in blocks])
+            )
+        assert [len(pieces) for pieces in replay._pieces] == [workers] * 4
+        # positions recorded with one worker count replay under another
+        for later in (1, 2, 3):
+            monkeypatch.setattr(measurement, "_workers", lambda: later)
+            np.testing.assert_array_equal(
+                stored.matrices, np.concatenate([block for _, block in replay.iter_blocks()])
+            )
+
+    def test_abandoned_first_pass_records_nothing(self, monkeypatch):
+        monkeypatch.setattr(measurement, "_block_rows", lambda n1, n2: 5)
+        monkeypatch.setattr(measurement, "_workers", lambda: 2)
+        stored = make_operator("gaussian", 4, 3, 17, RandomStream(12))
+        replay = make_operator("gaussian", 4, 3, 17, RandomStream(12), store=False)
+        blocks = replay.iter_blocks()
+        _, block = next(blocks)
+        np.testing.assert_array_equal(block, stored.matrices[:5])
+        blocks.close()
+        assert "_pieces" not in replay.__dict__
+        for _ in range(2):
+            np.testing.assert_array_equal(
+                stored.matrices, np.concatenate([block for _, block in replay.iter_blocks()])
+            )
+            assert len(replay._pieces) == 4
+
+    def test_concurrent_passes_on_one_replay_operator(self, monkeypatch):
+        # more callers and pieces than cores, with frequent thread switches:
+        # racing first passes may each record, and every pass stays exact
+        monkeypatch.setattr(measurement, "_block_rows", lambda n1, n2: 5)
+        monkeypatch.setattr(measurement, "_workers", lambda: 3)
+        stored = make_operator("gaussian", 4, 3, 17, RandomStream(12))
+        replay = make_operator("gaussian", 4, 3, 17, RandomStream(12), store=False)
+        x = RandomStream(15).generator().standard_normal((4, 3))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(6) as callers:
+                futures = [callers.submit(replay.apply, x) for _ in range(24)]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for result in results:
+            np.testing.assert_array_equal(result, stored.apply(x))
+
     @pytest.mark.parametrize("method", ["apply", "adjoint"])
     def test_replay_keeps_one_block_alive(self, monkeypatch, method):
-        # 40-row blocks of 30x30 float64 (288 kB); m = 400 draws ten of them
+        # 40-row blocks of 30x30 float64 (288 kB); m = 400 draws ten of them.
+        # The first pass records the pieces' positions, the second draws the
+        # pieces in parallel; both are measured.
         monkeypatch.setattr(measurement, "_block_rows", lambda n1, n2: 40)
+        monkeypatch.setattr(measurement, "_workers", lambda: 2)
         n1, n2, m = 30, 30, 400
         block_bytes = 40 * n1 * n2 * 8
         stored = make_operator("gaussian", n1, n2, m, RandomStream(13))
         replay = make_operator("gaussian", n1, n2, m, RandomStream(13), store=False)
         gen = RandomStream(14).generator()
         arg = gen.standard_normal((n1, n2)) if method == "apply" else gen.standard_normal(m)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            result = getattr(replay, method)(arg)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * block_bytes
-        np.testing.assert_array_equal(result, getattr(stored, method)(arg))
+        for recorded in (False, True):
+            assert ("_pieces" in replay.__dict__) == recorded
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                result = getattr(replay, method)(arg)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.5 * block_bytes
+            np.testing.assert_array_equal(result, getattr(stored, method)(arg))
 
     def test_validation(self):
         op = make_operator("gaussian", 4, 3, 5, RandomStream(10))
@@ -160,6 +223,16 @@ class TestSamplingOperator:
         op = make_operator("sampling", 10, 10, 25, RandomStream(13))
         assert op.m == 25
         assert op.p == pytest.approx(0.25)
+
+    def test_caller_arrays_stay_writeable(self):
+        r, c = np.array([0, 1]), np.array([1, 0])
+        op = SamplingOperator(2, 2, r, c)
+        assert r.flags.writeable and c.flags.writeable
+        assert op.rows is not r and op.cols is not c
+        r[0] = 1
+        np.testing.assert_array_equal(op.rows, [0, 1])
+        with pytest.raises(ValueError):
+            op.rows[0] = 1
 
     def test_deterministic_draw(self):
         a = make_operator("sampling", 10, 9, 40, RandomStream(14))
