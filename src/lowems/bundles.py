@@ -33,9 +33,11 @@ def save_bundle(path, obs: ObservationSet) -> None:
     for t, (op, y_t) in enumerate(zip(obs.ops, obs.y)):
         payload[f"y_{t}"] = np.asarray(y_t)
         if obs.variant == "gaussian":
-            stack = np.concatenate(
-                [block for _, block in op.iter_blocks()], axis=0
-            )
+            stack = op.matrices  # written as it is, never copied
+            if stack is None:  # replay: fill one array block by block
+                stack = np.empty((op.m, op.n1, op.n2))
+                for start, block in op.iter_blocks():
+                    stack[start : start + block.shape[0]] = block
             payload[f"A_{t}"] = stack
         else:
             payload[f"rows_{t}"] = op.rows

@@ -335,7 +335,9 @@ def _cmd_ratings_ingest(args) -> int:
 def _load_split(args, folds: int) -> tuple:
     """The binned ratings, their split with ``folds`` validation folds, the
     fit settings and the command's root stream (its child 0 draws the split)."""
-    binned = ratings.bin_by_time(ratings.ingest(args.infile), args.d)
+    table = ratings.ingest(args.infile)
+    _check_rank(args, table.n_items, table.n_users)
+    binned = ratings.bin_by_time(table, args.d)
     root = RandomStream(args.seed)
     split = ratings.make_split(binned, root.child(0), test_frac=args.test_frac, folds=folds)
     return binned, split, ratings.FitConfig(rank=args.rank, gamma=args.gamma), root

@@ -37,8 +37,9 @@ VARIANTS = ("gaussian", "sampling")
 
 
 def _block_rows(n1: int, n2: int) -> int:
-    """Measurements per generation block: aim for ~32 MB per block."""
-    return max(1, (1 << 22) // (n1 * n2))
+    """Measurements per generation block: ~8 MB, the one block a replay pass
+    holds beside its consumer's arrays; 4 MB blocks were slower."""
+    return max(1, (1 << 20) // (n1 * n2))
 
 
 def _workers() -> int:

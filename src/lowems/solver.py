@@ -276,7 +276,10 @@ def _sensing_system(
             np.matmul(block.transpose(0, 2, 1) if side == "V" else block, fixed, out=rows)
             del block  # a replayed block is freed before the next one is drawn
         design = design.reshape(op.m, k)
-        gram += w_t * (design.T @ design)
+        product = design.T @ design
+        product *= w_t  # in place: only two (k, k) arrays are ever alive
+        gram += product
+        del product
         rhs += w_t * (design.T @ y_t)
         designs.append((w_t, design, y_t))
 

@@ -1,9 +1,12 @@
 """Round-trip tests for observation-bundle serialization."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from lowems import measurement
 from lowems.bundles import load_bundle, save_bundle
 from lowems.core import RandomStream
 from lowems.dynamics import generate_truth
@@ -112,6 +115,36 @@ class TestReplayMaterialization:
             for t, op_back in enumerate(loaded.ops):
                 npt.assert_array_equal(op_back.matrices, stored.ops[t].matrices)
                 npt.assert_array_equal(loaded.y[t], obs.y[t])
+
+    @pytest.mark.parametrize("store", [True, False])
+    def test_save_copies_no_stored_stack_and_one_per_replayed_bin(
+        self, monkeypatch, tmp_path, store
+    ):
+        # 20x20 stacks of m = 100 (320 kB), drawn in five-row blocks (16 kB) on
+        # two workers, whose pool and generators take about 40 kB more.  The
+        # writer is replaced by a recorder, so the peak is save_bundle's own.
+        monkeypatch.setattr(measurement, "_block_rows", lambda n1, n2: 5)
+        monkeypatch.setattr(measurement, "_workers", lambda: 2)
+        root = RandomStream(31)
+        truth = generate_truth(20, 20, 2, 3, 0.05, root.child(0))
+        ops = [make_operator("gaussian", 20, 20, 100, root.child(1).child(t), store=store)
+               for t in range(3)]
+        obs = observe(ops, truth, 0.02, root.child(2))
+        written = {}
+        monkeypatch.setattr(np, "savez", lambda path, **payload: written.update(payload))
+        stack, block = 100 * 20 * 20 * 8, 5 * 20 * 20 * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            save_bundle(tmp_path / "bundle.npz", obs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        copies = 0 if store else obs.d
+        assert peak <= copies * stack + block + 64_000
+        for t in range(obs.d):
+            want = make_operator("gaussian", 20, 20, 100, root.child(1).child(t)).matrices
+            npt.assert_array_equal(written[f"A_{t}"], want)
 
 
 class TestFormatGuard:

@@ -677,6 +677,12 @@ class TestNonFiniteOptions:
             # "BUNDLE" stands for the module's 8x6 bundle
             (["solve", "--bundle", "BUNDLE", "--weights", "equal", "--rank", "7",
               "--out-x", "x.csv"], "rank must be in [1, 6], got 7"),
+            # "RATINGS" stands for the module's 20-item, 15-user ratings table
+            (["ratings", "cv", "--in", "RATINGS", "--d", "2", "--rank", "16",
+              "--out", "cv.csv", "--seed", "1"], "rank must be in [1, 15], got 16"),
+            (["ratings", "eval", "--in", "RATINGS", "--d", "2", "--rank", "16",
+              "--kappa", "1", "--out", "e.csv", "--seed", "1"],
+             "rank must be in [1, 15], got 16"),
             ([*_ERROR_SWEEP, "--strategies", "foo"], "unknown strategy 'foo'"),
             ([*_SAMPLE_SWEEP, "--p-grid", "0.5,0.2"], "p_grid must be ascending"),
         ],
@@ -684,12 +690,13 @@ class TestNonFiniteOptions:
              "p-grid-above-one", "test-frac", "seed",
              *[f"count{flag}" for flag in _COUNT_FLAGS], "folds",
              "rank-above-dimensions", "generate-rank", "rip-probe-rank", "solve-rank",
-             "unknown-strategy", "p-grid-descending"],
+             "ratings-cv-rank", "ratings-eval-rank", "unknown-strategy", "p-grid-descending"],
     )
     def test_negative_value_is_usage_error(self, capsys, tmp_path, monkeypatch, bundle_path,
-                                           argv, message):
+                                           ratings_csv, argv, message):
         monkeypatch.chdir(tmp_path)
-        code, _, err = _run(capsys, [str(bundle_path) if a == "BUNDLE" else a for a in argv])
+        inputs = {"BUNDLE": str(bundle_path), "RATINGS": str(ratings_csv)}
+        code, _, err = _run(capsys, [inputs.get(a, a) for a in argv])
         assert code == 1
         assert f"lowems: error: {message}" in err
         assert list(tmp_path.iterdir()) == []

@@ -8,6 +8,7 @@ implementations, kept as oracles.  The first builds every design block with
 solves every system of a batch that has one singular system in a Python loop.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -143,6 +144,31 @@ def test_one_operator_pass_per_half_sweep(monkeypatch):
     assert sol.iterations == 3
     assert len(sol.objective_trace) == 7  # no half-sweep was rejected
     assert len(calls) == 2 + 2 * 3
+
+
+@pytest.mark.parametrize("store", [True, False])
+def test_update_holds_the_design_one_block_and_two_grams(monkeypatch, store):
+    # 30x40, rank 4, side V: k = 160 unknowns, so a (k, k) array (205 kB)
+    # outweighs an 8-row block (77 kB); m = 60 spans eight blocks
+    monkeypatch.setattr(measurement, "_block_rows", lambda n1, n2: 8)
+    monkeypatch.setattr(measurement, "_workers", lambda: 2)
+    n1, n2, rank, m = 30, 40, 4, 60
+    root = RandomStream(21)
+    truth = generate_truth(n1, n2, rank, 1, 0.0, root.child(0))
+    op = make_operator("gaussian", n1, n2, m, root.child(1), store=store)
+    obs = observe([op], truth, 0.05, root.child(2))
+    problem = LowemsProblem(obs, WeightVector(np.array([1.0])), rank, gamma=0.1)
+    fixed = _fixed(problem, "V", 22)
+    k = n2 * rank
+    design, block, gram = m * k * 8, 8 * n1 * n2 * 8, k * k * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _factor_update(problem, fixed, "V")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= design + block + 2 * gram + gram // 4
 
 
 def _random_batch(gen):
