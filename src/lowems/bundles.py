@@ -47,7 +47,8 @@ def save_bundle(path, obs: ObservationSet) -> None:
         payload["true_drift_std"] = np.asarray(obs.truth.drift_std)
         for t, v in enumerate(obs.truth.V_seq):
             payload[f"true_V_{t}"] = v
-    np.savez(path, **payload)
+    with open(path, "wb") as fh:  # a file, so that no ".npz" is appended to path
+        np.savez(fh, **payload)
 
 
 def load_bundle(path) -> ObservationSet:
@@ -72,12 +73,9 @@ def load_bundle(path) -> ObservationSet:
             ys.append(y_t)
         truth = None
         if "true_U" in data:
-            u = data["true_U"]
-            v_seq = tuple(data[f"true_V_{t}"] for t in range(d))
             truth = DynamicGroundTruth(
-                U=u,
-                V_seq=v_seq,
-                X_seq=tuple(u @ v.T for v in v_seq),
+                U=data["true_U"],
+                V_seq=tuple(data[f"true_V_{t}"] for t in range(d)),
                 drift_std=float(data["true_drift_std"]),
             )
     return ObservationSet(tuple(ops), tuple(ys), noise_std, truth=truth)

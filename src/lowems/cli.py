@@ -180,10 +180,8 @@ def _check_rank(args, n1: int, n2: int) -> None:
 
 
 def _parse_weights(spec: str, d: int, kappa: float | None) -> WeightVector:
-    if spec in ("last", "last_only"):
-        return baseline_weights(d, "last_only")
-    if spec == "equal":
-        return baseline_weights(d, "equal")
+    if spec in ("last", "last_only", "equal"):
+        return baseline_weights(d, "last_only" if spec == "last" else spec)
     if spec == "optimal":
         if kappa is None:
             raise UsageError("--weights optimal requires --kappa")
@@ -344,6 +342,8 @@ def _load_split(args, folds: int) -> tuple:
 
 
 def _cmd_ratings_cv(args) -> int:
+    if not args.kappa_grid:  # refused before the table is read
+        raise UsageError("kappa_grid must be nonempty")
     binned, split, cfg, root = _load_split(args, args.folds)
     result = ratings.cross_validate_kappa(
         binned, split, args.kappa_grid, cfg, root.child(1)

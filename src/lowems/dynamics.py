@@ -21,22 +21,23 @@ class DynamicGroundTruth:
 
     ``U`` is ``n1 x rank`` with orthonormal columns, ``V_seq`` holds the
     ``d`` coefficient factors (``n2 x rank`` each), ``X_seq`` the products
-    ``U @ V_t.T``.  ``drift_std`` is the per-entry standard deviation of the
-    random-walk increments that produced ``V_seq``.
+    ``U @ V_t.T`` derived from them.  ``drift_std`` is the per-entry standard
+    deviation of the random-walk increments that produced ``V_seq``.
     """
 
     U: np.ndarray
     V_seq: tuple[np.ndarray, ...] = field(repr=False)
-    X_seq: tuple[np.ndarray, ...] = field(repr=False)
     drift_std: float
+    X_seq: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.U.ndim != 2:
             raise ValueError("U must be 2-D")
-        if not self.V_seq or len(self.V_seq) != len(self.X_seq):
-            raise ValueError("V_seq and X_seq must be nonempty and equal length")
+        if not self.V_seq:
+            raise ValueError("V_seq must be nonempty")
         if self.drift_std not in NONNEGATIVE:
             raise ValueError("drift_std must be nonnegative")
+        object.__setattr__(self, "X_seq", tuple(self.U @ v.T for v in self.V_seq))
 
     @property
     def n1(self) -> int:
@@ -61,10 +62,7 @@ def random_orthonormal(n: int, rank: int, rng: RandomStream) -> np.ndarray:
     QR of an iid standard-normal matrix, with column signs fixed so the
     factorization is canonical (diagonal of R nonnegative).
     """
-    if rank > n:
-        raise ValueError(f"rank {rank} exceeds dimension {n}")
-    if rank < 1:
-        raise ValueError("rank must be positive")
+    check_rank(rank, n, n)
     g = rng.generator().standard_normal((n, rank))
     q, r = np.linalg.qr(g)
     signs = np.sign(np.diag(r))
@@ -101,5 +99,4 @@ def generate_truth(
     for t in range(1, d):
         step = rng.child(1 + t).generator().standard_normal((n2, rank))
         v_seq.append(v_seq[-1] + drift_std * step)
-    x_seq = tuple(u @ v.T for v in v_seq)
-    return DynamicGroundTruth(u, tuple(v_seq), x_seq, float(drift_std))
+    return DynamicGroundTruth(u, tuple(v_seq), float(drift_std))

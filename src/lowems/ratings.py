@@ -91,11 +91,10 @@ def _build_table(users, items, values, stamps) -> RatingsTable:
 
 def _dedup_triples(users, items, values, stamps):
     """Drop exact (user, item, timestamp) duplicates, keeping the last
-    occurrence in input order."""
-    keep: dict[tuple[int, int, int], int] = {}
-    for idx in range(len(users)):
-        keep[(int(users[idx]), int(items[idx]), int(stamps[idx]))] = idx
-    kept = np.array(sorted(keep.values()), dtype=np.int64)
+    occurrence in input order: the first np.unique finds in reversed order."""
+    reversed_triples = np.stack([users, items, stamps], axis=1)[::-1]
+    _, first = np.unique(reversed_triples, axis=0, return_index=True)
+    kept = np.sort(len(users) - 1 - first)
     return users[kept], items[kept], values[kept], stamps[kept]
 
 
@@ -279,8 +278,6 @@ class FitConfig:
     gamma: float = 1.0
     max_sweeps: int = 500
     tol: float = 1e-8
-    init: str = "random"
-    max_entry: float | None = None
 
 
 def _fit_rows(
@@ -290,7 +287,7 @@ def _fit_rows(
     cfg: FitConfig,
     rng: RandomStream | None,
 ) -> Solution:
-    """Fit the weighted model on a subset of table rows."""
+    """Fit the weighted model on a subset of table rows, from a random init, unclipped."""
     table = binned.table
     selected = np.zeros(table.n, dtype=bool)
     selected[rows] = True
@@ -309,14 +306,12 @@ def _fit_rows(
         )
         ys.append(table.ratings[members])
     obs = ObservationSet(tuple(ops), tuple(ys), noise_std=0.0)
-    problem = LowemsProblem(
-        obs, weights, cfg.rank, gamma=cfg.gamma, max_entry=cfg.max_entry
-    )
+    problem = LowemsProblem(obs, weights, cfg.rank, gamma=cfg.gamma)
     return solve(
         problem,
         max_sweeps=cfg.max_sweeps,
         tol=cfg.tol,
-        init=cfg.init,
+        init="random",
         rng=rng,
     )
 
@@ -387,7 +382,6 @@ def cross_validate_kappa(
         raise ValueError("kappa_grid must be nonempty")
     d = binned.d
     rows = []
-    best: tuple[float, float] | None = None  # (rmse, kappa)
     for kappa in kappa_grid:
         weights = optimal_weights(d, kappa)
         fold_scores = []
@@ -412,12 +406,10 @@ def cross_validate_kappa(
                 stacklevel=2,
             )
         rows.append(CVRow(float(kappa), mean, std))
-        if math.isfinite(mean):
-            if best is None or mean < best[0] or (mean == best[0] and kappa < best[1]):
-                best = (mean, float(kappa))
-    if best is None:
+    finite = [(r.mean_val_rmse, r.kappa) for r in rows if math.isfinite(r.mean_val_rmse)]
+    if not finite:
         raise RuntimeError("cross-validation failed for every kappa")
-    return CrossValidation(best[1], tuple(rows))
+    return CrossValidation(min(finite)[1], tuple(rows))
 
 
 @dataclass(frozen=True, eq=False)

@@ -344,9 +344,7 @@ def solve(
     if not np.isfinite(current):
         raise DivergenceError("initial objective is non-finite", pair, [])
     trace = [current]
-    converged = False
-    sweeps = 0
-    for sweep in range(1, max_sweeps + 1):
+    for iterations in range(1, max_sweeps + 1):
         sweep_start = current
         stagnated = False
         for side in ("U", "V"):
@@ -363,12 +361,8 @@ def solve(
             u, v = cand_u, cand_v
             current = cand_obj
             trace.append(current)
-        sweeps = sweep
-        if stagnated:
-            converged = True
-            break
-        if sweep_start - current <= tol * max(abs(sweep_start), 1e-300):
-            converged = True
+        converged = stagnated or sweep_start - current <= tol * max(abs(sweep_start), 1e-300)
+        if converged:
             break
     x_hat = u @ v.T
     clip_applied = False
@@ -380,7 +374,7 @@ def solve(
         factors=FactorPair(u, v),
         X_hat=x_hat,
         objective_trace=np.asarray(trace),
-        iterations=sweeps,
+        iterations=iterations,
         converged=converged,
         clip_applied=clip_applied,
     )

@@ -77,23 +77,21 @@ def optimal_weights(d: int, kappa: float) -> WeightVector:
     ``kappa = inf`` collapses onto the last bin.
     """
     kappa = _check_d_kappa(d, kappa)
-    if math.isinf(kappa):
-        return baseline_weights(d, "last_only")
-    raw = 1.0 / (1.0 + lag_profile(d) * kappa)
+    lag = lag_profile(d)
+    raw = (lag == 0) * 1.0 if math.isinf(kappa) else 1.0 / (1.0 + lag * kappa)
     return WeightVector(raw / raw.sum(), kappa=kappa)
 
 
+_BASELINE_KAPPA = {"last_only": math.inf, "equal": 0.0}
+
+
 def baseline_weights(d: int, kind: str) -> WeightVector:
-    """Reference weightings: ``last_only`` or ``equal``."""
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError("d must be a positive integer")
-    if kind == "last_only":
-        w = np.zeros(d)
-        w[-1] = 1.0
-        return WeightVector(w, kappa=math.inf)
-    if kind == "equal":
-        return WeightVector(np.full(d, 1.0 / d), kappa=0.0)
-    raise ValueError(f"unknown baseline kind {kind!r}")
+    """Reference weightings, the endpoints of the ``kappa`` family:
+    ``equal`` (``kappa = 0``) and ``last_only`` (``kappa = inf``)."""
+    _check_d_kappa(d, 0.0)  # a bad d is reported before a bad kind
+    if kind not in _BASELINE_KAPPA:
+        raise ValueError(f"unknown baseline kind {kind!r}")
+    return optimal_weights(d, _BASELINE_KAPPA[kind])
 
 
 def kappa_for(noise_std: float, drift_std: float) -> float:

@@ -48,3 +48,14 @@ def _simplex_diag_qp(diag: np.ndarray) -> np.ndarray:
         if not free.any():  # pragma: no cover - unreachable for diag > 0
             raise RuntimeError("QP active-set elimination emptied the free set")
     return w
+
+
+def dedup_triples_by_dict(users, items, values, stamps):
+    """Drop exact (user, item, timestamp) duplicates, keeping the last
+    occurrence in input order: a dict filled record by record, the reference
+    for :func:`lowems.ratings._dedup_triples`."""
+    keep: dict[tuple[int, int, int], int] = {}
+    for idx in range(len(users)):
+        keep[(int(users[idx]), int(items[idx]), int(stamps[idx]))] = idx
+    kept = np.array(sorted(keep.values()), dtype=np.int64)
+    return users[kept], items[kept], values[kept], stamps[kept]

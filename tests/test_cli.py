@@ -242,6 +242,24 @@ class TestGenerateSolve:
         for y_a, y_b in zip(first.y, second.y):
             np.testing.assert_array_equal(y_b, y_a)
 
+    def test_out_without_suffix_is_the_written_path(self, capsys, tmp_path):
+        out = tmp_path / "mybundle"
+        code, stdout, _ = _run(
+            capsys,
+            ["generate",
+             "--n1", "8", "--n2", "6", "--rank", "2", "--d", "2",
+             "--m0", "60", "--variant", "sampling", "--out", str(out), "--seed", "7"],
+        )
+        assert code == 0
+        assert f"wrote bundle {out} " in stdout
+        code, _, err = _run(
+            capsys,
+            ["solve", "--bundle", str(out), "--weights", "equal", "--rank", "2",
+             "--out-x", str(tmp_path / "x.csv")],
+        )
+        assert code == 0, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mybundle", "x.csv"]
+
     def test_dump_x_writes_one_file_per_bin(self, capsys, tmp_path):
         out = tmp_path / "b.npz"
         prefix = tmp_path / "planted"
@@ -685,12 +703,18 @@ class TestNonFiniteOptions:
              "rank must be in [1, 15], got 16"),
             ([*_ERROR_SWEEP, "--strategies", "foo"], "unknown strategy 'foo'"),
             ([*_SAMPLE_SWEEP, "--p-grid", "0.5,0.2"], "p_grid must be ascending"),
+            # empty grids, refused before anything is read or solved
+            ([*_ERROR_SWEEP, "--drift-grid", ""], "drift_grid must be nonempty"),
+            (["ratings", "cv", "--in", "RATINGS", "--d", "2", "--rank", "2",
+              "--kappa-grid", "", "--out", "cv.csv", "--seed", "1"],
+             "kappa_grid must be nonempty"),
         ],
         ids=["generate", "sweep-error", "ratings-eval", "max-entry", "p-grid-zero",
              "p-grid-above-one", "test-frac", "seed",
              *[f"count{flag}" for flag in _COUNT_FLAGS], "folds",
              "rank-above-dimensions", "generate-rank", "rip-probe-rank", "solve-rank",
-             "ratings-cv-rank", "ratings-eval-rank", "unknown-strategy", "p-grid-descending"],
+             "ratings-cv-rank", "ratings-eval-rank", "unknown-strategy", "p-grid-descending",
+             "empty-drift-grid", "empty-kappa-grid"],
     )
     def test_negative_value_is_usage_error(self, capsys, tmp_path, monkeypatch, bundle_path,
                                            ratings_csv, argv, message):

@@ -9,6 +9,7 @@ from lowems.ratings import (
     EmptyResultError,
     FitConfig,
     HEADER,
+    _dedup_triples,
     bin_by_time,
     cross_validate_kappa,
     evaluate_test,
@@ -18,6 +19,7 @@ from lowems.ratings import (
     table_to_csv,
     truncate,
 )
+from oracles import dedup_triples_by_dict
 
 
 def _write_csv(path, records):
@@ -71,6 +73,20 @@ class TestIngest:
         path = _write_csv(tmp_path / "r.csv", records)
         expected = len({(u, i, t) for u, i, _, t in records})
         assert ingest(path).n == expected
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 500, 3000])
+    def test_dedup_matches_dict_oracle(self, n):
+        # few distinct triples, so most records repeat one; timestamps unsorted
+        gen = RandomStream(78).child(n).generator()
+        users = gen.integers(0, 6, size=n)
+        items = gen.integers(100, 104, size=n)
+        values = gen.standard_normal(n)
+        stamps = gen.integers(-5, 5, size=n) * 1_000_003
+        got = _dedup_triples(users, items, values, stamps)
+        expected = dedup_triples_by_dict(users, items, values, stamps)
+        for g, e in zip(got, expected):
+            assert g.dtype == e.dtype
+            np.testing.assert_array_equal(g, e)
 
     def test_error_reporting(self, tmp_path):
         empty = tmp_path / "empty.csv"

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lowems import solver as solver_module
 from lowems.core import RandomStream, frobenius_norm
 from lowems.dynamics import generate_truth
 from lowems.experiments import SweepConfig, run_error_sweep
@@ -278,6 +279,71 @@ class TestSolve:
             solve(problem, tol=-1.0)
         with pytest.raises(ValueError):
             solve(problem, init="random")  # needs rng
+
+
+class TestStopState:
+    """``converged``, ``iterations`` and the trace length for each way
+    :func:`solve` stops.  The scripted runs replace each half-sweep's misfit
+    by a given multiple of the initial objective (``gamma = 0``, so the misfit
+    is the objective); the factors are still the real updates."""
+
+    @staticmethod
+    def _scripted(monkeypatch, problem, ratios):
+        start = objective(problem, init_factors(problem))
+        script = iter(ratios)
+        real = solver_module._factor_update
+
+        def update(problem, fixed, side):
+            return real(problem, fixed, side)[0], next(script) * start
+
+        monkeypatch.setattr(solver_module, "_factor_update", update)
+        return start
+
+    def test_scripted_tolerance_stop(self, monkeypatch):
+        problem, _ = _planted_problem(noise_std=0.1, seed=216)
+        start = self._scripted(monkeypatch, problem, [0.5, 0.25, 0.25, 0.25])
+        sol = solve(problem, max_sweeps=10, tol=1e-8)
+        assert (sol.converged, sol.iterations) == (True, 2)
+        np.testing.assert_array_equal(
+            sol.objective_trace, np.array([1, 0.5, 0.25, 0.25, 0.25]) * start
+        )
+
+    @pytest.mark.parametrize("ratios, sweeps", [([0.5, 1.0], 1), ([0.5, 0.25, 0.5], 2)])
+    def test_scripted_stagnation_stop(self, monkeypatch, ratios, sweeps):
+        # the worse candidate is rejected; the sweep it ends still counts
+        problem, _ = _planted_problem(noise_std=0.1, seed=217)
+        start = self._scripted(monkeypatch, problem, ratios)
+        sol = solve(problem, max_sweeps=10, tol=1e-8)
+        assert (sol.converged, sol.iterations) == (True, sweeps)
+        np.testing.assert_array_equal(
+            sol.objective_trace, np.array([1.0, *ratios[:-1]]) * start
+        )
+
+    def test_scripted_cap_stop(self, monkeypatch):
+        problem, _ = _planted_problem(noise_std=0.1, seed=218)
+        start = self._scripted(monkeypatch, problem, [0.5**k for k in range(1, 7)])
+        sol = solve(problem, max_sweeps=3, tol=1e-8)
+        assert (sol.converged, sol.iterations) == (False, 3)
+        np.testing.assert_array_equal(
+            sol.objective_trace, 0.5 ** np.arange(7) * start
+        )
+
+    def test_tolerance_stop(self):
+        problem, _ = _planted_problem(noise_std=0.1, drift_std=0.3, m0=100, seed=212)
+        tol = 1e-4
+        sol = solve(problem, max_sweeps=500, tol=tol)
+        trace = sol.objective_trace
+        assert sol.converged and 1 < sol.iterations < 500
+        assert len(trace) == 1 + 2 * sol.iterations
+        sweep_starts, sweep_ends = trace[:-1:2], trace[2::2]
+        stopped = sweep_starts - sweep_ends <= tol * np.abs(sweep_starts)
+        assert stopped[-1] and not stopped[:-1].any()
+
+    def test_cap_stop(self):
+        problem, _ = _planted_problem(noise_std=0.1, drift_std=0.3, m0=100, seed=212)
+        sol = solve(problem, max_sweeps=2, tol=0.0)
+        assert (sol.converged, sol.iterations) == (False, 2)
+        assert len(sol.objective_trace) == 5
 
 
 class TestProblemValidation:
