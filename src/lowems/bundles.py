@@ -3,11 +3,13 @@
 A bundle holds the per-bin observation vectors, the operator payloads
 (sensing stacks for the Gaussian variant, index pairs for sampling), the
 noise level, and — when available — the planted truth, so a solve can be
-replayed and scored later.  Replay-mode Gaussian operators are materialized
-on save.
+replayed and scored later.  Replay-mode Gaussian operators are written out
+block by block on save, and load as stored operators.
 """
 
 from __future__ import annotations
+
+import zipfile
 
 import numpy as np
 
@@ -22,7 +24,10 @@ _FORMAT = 1
 
 
 def save_bundle(path, obs: ObservationSet) -> None:
-    payload: dict[str, np.ndarray] = {
+    """Write ``obs`` to exactly ``path``, in the layout of ``np.savez``, one
+    member at a time; a sensing stack is written block by block from its
+    operator, so no stack is copied or, in replay mode, held whole."""
+    payload: dict[str, object] = {
         "format": np.asarray(_FORMAT),
         "variant": np.asarray(obs.variant),
         "n1": np.asarray(obs.n1),
@@ -33,12 +38,7 @@ def save_bundle(path, obs: ObservationSet) -> None:
     for t, (op, y_t) in enumerate(zip(obs.ops, obs.y)):
         payload[f"y_{t}"] = np.asarray(y_t)
         if obs.variant == "gaussian":
-            stack = op.matrices  # written as it is, never copied
-            if stack is None:  # replay: fill one array block by block
-                stack = np.empty((op.m, op.n1, op.n2))
-                for start, block in op.iter_blocks():
-                    stack[start : start + block.shape[0]] = block
-            payload[f"A_{t}"] = stack
+            payload[f"A_{t}"] = op
         else:
             payload[f"rows_{t}"] = op.rows
             payload[f"cols_{t}"] = op.cols
@@ -47,8 +47,19 @@ def save_bundle(path, obs: ObservationSet) -> None:
         payload["true_drift_std"] = np.asarray(obs.truth.drift_std)
         for t, v in enumerate(obs.truth.V_seq):
             payload[f"true_V_{t}"] = v
-    with open(path, "wb") as fh:  # a file, so that no ".npz" is appended to path
-        np.savez(fh, **payload)
+    with zipfile.ZipFile(path, "w", allowZip64=True) as zf:
+        for name, value in payload.items():
+            with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
+                if not isinstance(value, GaussianOperator):
+                    np.lib.format.write_array(fh, value)
+                    continue
+                shape = (value.m, value.n1, value.n2)
+                np.lib.format.write_array_header_1_0(
+                    fh, {"descr": "<f8", "fortran_order": False, "shape": shape}
+                )
+                for _, block in value.iter_blocks():
+                    fh.write(np.ascontiguousarray(block, dtype="<f8"))
+                    del block  # a replayed block is freed before the next one is drawn
 
 
 def load_bundle(path) -> ObservationSet:

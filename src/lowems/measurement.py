@@ -17,7 +17,8 @@ same chunked construction, so they are bit-identical.  Each block is drawn in
 pieces, one per usable CPU.  A replay operator's first full pass records the
 stream position where each piece starts; later passes draw a block's pieces
 on all CPUs at once, from generators restored to those positions, with the
-same bits.
+same bits.  A pass can hand each piece to a hook on the thread that drew it,
+right after it is scaled; the solver builds its design rows that way.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +35,8 @@ from .dynamics import DynamicGroundTruth
 from .weights import WeightVector
 
 VARIANTS = ("gaussian", "sampling")
+
+PieceHook = Callable[[int, np.ndarray], None]
 
 
 def _block_rows(n1: int, n2: int) -> int:
@@ -50,7 +53,7 @@ def _workers() -> int:
 
 def _gaussian_blocks(
     source: RandomStream, m: int, n1: int, n2: int, out: np.ndarray | None = None,
-    pieces: list | None = None,
+    pieces: list | None = None, each: PieceHook | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(start, block)`` chunks of the sensing stack for a stream.
 
@@ -61,13 +64,18 @@ def _gaussian_blocks(
     Each block is drawn in pieces, a share of its rows per usable CPU.  A pass
     without ``pieces`` draws them in turn and returns each piece's ``(lo, hi,
     position)``, per block; given those, a pass draws the pieces in parallel.
+    With ``each``, ``each(row, piece)`` runs on every piece right after it is
+    scaled, on the thread that drew it, with ``row`` its first stack row.
     """
     gen, recorded, k = source.generator(), [], _workers()
     scale, block = 1.0 / np.sqrt(m), _block_rows(n1, n2)
 
     def draw(g: np.random.Generator, lo: int, hi: int) -> None:  # rows lo:hi of chunk
-        g.standard_normal(out=chunk[lo:hi])  # releases the GIL while it fills
-        chunk[lo:hi] *= scale
+        piece = chunk[lo:hi]
+        g.standard_normal(out=piece)  # releases the GIL while it fills
+        piece *= scale
+        if each is not None:
+            each(start + lo, piece)  # while the piece is still in cache
 
     with ThreadPoolExecutor(k) as pool:  # starts threads only for replayed pieces
         run = pool.map if k > 1 else map
@@ -115,14 +123,21 @@ class GaussianOperator:
                     f"sensing stack shape {self.matrices.shape} != {expected}"
                 )
 
-    def iter_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+    def iter_blocks(self, each: PieceHook | None = None) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(start, block)`` chunks of the sensing stack in order.
+        ``each`` sees every piece of a block before the block is yielded: a
+        replayed piece on the thread that drew it, a stored block inline."""
         if self.matrices is not None:
             block = _block_rows(self.n1, self.n2)
             for start in range(0, self.m, block):
-                yield start, self.matrices[start : start + block]
+                chunk = self.matrices[start : start + block]
+                if each is not None:
+                    each(start, chunk)
+                yield start, chunk
         else:
             self.__dict__["_pieces"] = yield from _gaussian_blocks(
-                self.source, self.m, self.n1, self.n2, pieces=self.__dict__.get("_pieces")
+                self.source, self.m, self.n1, self.n2, pieces=self.__dict__.get("_pieces"),
+                each=each,
             )
 
     def apply(self, x) -> np.ndarray:

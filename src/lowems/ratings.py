@@ -91,10 +91,16 @@ def _build_table(users, items, values, stamps) -> RatingsTable:
 
 def _dedup_triples(users, items, values, stamps):
     """Drop exact (user, item, timestamp) duplicates, keeping the last
-    occurrence in input order: the first np.unique finds in reversed order."""
-    reversed_triples = np.stack([users, items, stamps], axis=1)[::-1]
-    _, first = np.unique(reversed_triples, axis=0, return_index=True)
-    kept = np.sort(len(users) - 1 - first)
+    occurrence in input order: a stable three-key sort of the reversed rows
+    puts it first among its copies, where the sorted keys change."""
+    keys = [a[::-1] for a in (stamps, items, users)]
+    order = np.lexsort(keys)
+    first = np.zeros(order.size, dtype=bool)
+    first[:1] = True
+    for key in keys:
+        ordered = key[order]
+        first[1:] |= ordered[1:] != ordered[:-1]
+    kept = np.sort(len(users) - 1 - order[first])
     return users[kept], items[kept], values[kept], stamps[kept]
 
 

@@ -15,9 +15,14 @@ reshapes.  Sampling gives one tiny system per output row; all rows come
 from one GEMM of dense merged weights (two ``n1 * n2`` arrays) cached on the
 problem, so its cost follows ``n1 * n2`` rather than the observation count.
 Dense sensing gives one stacked system in ``n * rank`` unknowns from one
-pass over the operator; its design rows (one BLAS matmul per block) are
-kept, ``m * n * rank`` floats per live bin, so the misfit is read from them
-without producing the blocks a second time.  Replay-mode operators never
+pass over the operator.  Its design rows are one BLAS matmul per drawn
+piece, run on the thread that drew it, into one buffer per live bin that
+:func:`solve` allocates once (``m * max(n1, n2) * rank`` floats), so the
+misfit is read from them without producing the blocks a second time and no
+half-sweep faults its design in again.  The Gram matrix is allocated only
+after the pass has freed its block.  The first half-sweep's misfit function
+also gives the starting objective, so a solve makes one pass per
+half-sweep, plus one for a spectral init.  Replay-mode operators never
 materialize their sensing stack.
 """
 
@@ -180,11 +185,22 @@ def update_U(problem: LowemsProblem, v: np.ndarray) -> np.ndarray:
 
 
 def _factor_update(
-    problem: LowemsProblem, fixed: np.ndarray, side: str
-) -> tuple[np.ndarray, float]:
+    problem: LowemsProblem,
+    fixed: np.ndarray,
+    side: str,
+    designs: list[np.ndarray] | None = None,
+    start: np.ndarray | None = None,
+) -> tuple[np.ndarray, float, float | None]:
     """The minimizing ``side`` factor and the data-fit term (no ridge) of the
     pair it forms with ``fixed``, from the variant's batch of normal
-    equations ``gram[k] @ x[k] = rhs[k]`` and misfit function."""
+    equations ``gram[k] @ x[k] = rhs[k]`` and misfit function.
+
+    ``designs`` are the dense sensing design buffers of
+    :func:`_design_buffers`; without them the design is allocated here.
+    Given ``start``, the current ``side`` factor, the full objective of the
+    pair it forms with ``fixed`` is read from the same misfit function before
+    the system is solved, and returned third (else ``None``); a non-finite
+    one raises :class:`DivergenceError`."""
     fixed = np.asarray(fixed, dtype=float)
     obs, rank = problem.obs, problem.rank
     n_in, n_out = (obs.n1, obs.n2) if side == "V" else (obs.n2, obs.n1)
@@ -193,15 +209,22 @@ def _factor_update(
             f"fixed factor has shape {fixed.shape}, expected {(n_in, rank)}"
         )
     if obs.variant == "sampling":
-        build, kind = _sampling_system, "per-row"
+        kind = "per-row"
+        gram, rhs, misfit = _sampling_system(problem, fixed, side, n_out)
     else:
-        build, kind = _sensing_system, "stacked"
-    gram, rhs, misfit = build(problem, fixed, side, n_out)
+        kind = "stacked"
+        gram, rhs, misfit = _sensing_system(problem, fixed, side, n_out, designs)
+    initial = None
+    if start is not None:
+        pair = FactorPair(start, fixed) if side == "U" else FactorPair(fixed, start)
+        initial = _with_ridge(problem, misfit(start), pair.U, pair.V)
+        if not np.isfinite(initial):
+            raise DivergenceError("initial objective is non-finite", pair, [])
     if problem.gamma > 0.0:
         diag = np.arange(gram.shape[-1])
         gram[:, diag, diag] += 2.0 * problem.gamma
     factor = _solve_systems(gram, rhs, kind).reshape(n_out, rank)
-    return factor, misfit(factor)
+    return factor, misfit(factor), initial
 
 
 def _sampling_design(problem: LowemsProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -250,8 +273,20 @@ def _sampling_system(
     return gram, b @ fixed, misfit
 
 
+def _design_buffers(problem: LowemsProblem) -> list[np.ndarray] | None:
+    """For dense sensing, one flat buffer per live bin with room for either
+    side's design, which :func:`solve` reuses in every half-sweep (not cached
+    on the problem, which may be solved on two threads at once)."""
+    obs = problem.obs
+    if obs.variant != "gaussian":
+        return None
+    width = max(obs.n1, obs.n2) * problem.rank
+    return [np.empty(op.m * width) for _, op in _live_bins(problem.weights.w, obs.ops)]
+
+
 def _sensing_system(
-    problem: LowemsProblem, fixed: np.ndarray, side: str, n_out: int
+    problem: LowemsProblem, fixed: np.ndarray, side: str, n_out: int,
+    designs: list[np.ndarray] | None = None,
 ) -> tuple:
     """The stacked normal equations of the dense sensing variant, a batch of
     one ``(k, k)`` system with ``k = n_out * rank``, in one pass over the
@@ -259,33 +294,42 @@ def _sensing_system(
 
     For ``side == "V"`` the i-th design row is ``A_i^T @ U`` flattened (since
     ``<A_i, U V^T> = <A_i^T U, V>``); for ``side == "U"`` it is ``A_i @ V``.
-    Each block's rows are one BLAS matmul (the transposed block is read as a
-    view, never copied).  The design of every live bin is kept, ``m * n_out *
-    rank`` floats each, to accumulate the normal equations and then to give
-    the candidate's misfit from its explicit residual ``D_t x - y_t``.
+    Each piece's rows are one BLAS matmul (the transposed piece is read as a
+    view, never copied), run by the thread that drew the piece.  The design
+    of every live bin is kept, ``m * n_out * rank`` floats each, in
+    ``designs`` when given, to accumulate the normal equations and then to
+    give the candidate's misfit from its explicit residual ``D_t x - y_t``.
+    The Gram matrix is allocated only after the pass has freed its block.
     """
     obs, r = problem.obs, fixed.shape[1]
     k = n_out * r
-    gram = np.zeros((k, k))
-    rhs = np.zeros(k)
-    designs = []
-    for w_t, op, y_t in _live_bins(problem.weights.w, obs.ops, obs.y):
-        design = np.empty((op.m, n_out, r))
-        for start, block in op.iter_blocks():
-            rows = design[start : start + block.shape[0]]
-            np.matmul(block.transpose(0, 2, 1) if side == "V" else block, fixed, out=rows)
+    live = _live_bins(problem.weights.w, obs.ops, obs.y)
+    if designs is None:
+        designs = [np.empty(op.m * k) for _, op, _ in live]
+    gram, rhs, kept = None, np.zeros(k), []
+    for (w_t, op, y_t), buffer in zip(live, designs):
+        design = buffer[: op.m * k].reshape(op.m, n_out, r)
+
+        def rows(start: int, piece: np.ndarray, design=design) -> None:
+            a = piece.transpose(0, 2, 1) if side == "V" else piece
+            np.matmul(a, fixed, out=design[start : start + piece.shape[0]])
+
+        for _, block in op.iter_blocks(rows):
             del block  # a replayed block is freed before the next one is drawn
         design = design.reshape(op.m, k)
         product = design.T @ design
-        product *= w_t  # in place: only two (k, k) arrays are ever alive
-        gram += product
+        product *= w_t  # in place: at most two (k, k) arrays are ever alive
+        if gram is None:
+            gram = product
+        else:
+            gram += product
         del product
         rhs += w_t * (design.T @ y_t)
-        designs.append((w_t, design, y_t))
+        kept.append((w_t, design, y_t))
 
     def misfit(x: np.ndarray) -> float:
         total = 0.0
-        for w_t, design, y_t in designs:
+        for w_t, design, y_t in kept:
             res = design @ x.ravel() - y_t
             total += w_t * float(res @ res)
         return 0.5 * total
@@ -340,15 +384,18 @@ def solve(
         raise ValueError(f"tol must be {NONNEGATIVE}")
     pair = init_factors(problem, init, rng)
     u, v = pair.U, pair.V
-    current = objective(problem, pair)
-    if not np.isfinite(current):
-        raise DivergenceError("initial objective is non-finite", pair, [])
-    trace = [current]
+    designs = _design_buffers(problem)
+    current, trace = None, []
     for iterations in range(1, max_sweeps + 1):
         sweep_start = current
         stagnated = False
         for side in ("U", "V"):
-            factor, misfit = _factor_update(problem, v if side == "U" else u, side)
+            factor, misfit, initial = _factor_update(
+                problem, v if side == "U" else u, side, designs, u if current is None else None
+            )
+            if initial is not None:  # the first system also gives the starting objective
+                current = sweep_start = initial
+                trace.append(current)
             cand_u, cand_v = (factor, v) if side == "U" else (u, factor)
             cand_obj = _with_ridge(problem, misfit, cand_u, cand_v)
             if not np.isfinite(cand_obj):

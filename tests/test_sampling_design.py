@@ -113,7 +113,7 @@ def test_update_matches_add_at_oracle(case, gamma):
             want = reference_sampling_update(problem, fixed, side)
             assert np.all(np.isfinite(got))
             np.testing.assert_allclose(got, want, rtol=1e-12)
-            factor, misfit = _factor_update(problem, fixed, side)
+            factor, misfit, _ = _factor_update(problem, fixed, side)
             np.testing.assert_array_equal(factor, got)
             u, v = (fixed, got) if side == "V" else (got, fixed)
             assert misfit == weighted_misfit(problem.obs, problem.weights.w, u @ v.T)

@@ -21,6 +21,7 @@ from lowems.measurement import GaussianOperator, ObservationSet, make_operator, 
 from lowems.solver import (
     LowemsProblem,
     RankDeficiencyWarning,
+    _design_buffers,
     _factor_update,
     _solve_systems,
     solve,
@@ -105,7 +106,7 @@ def test_update_matches_einsum_oracle(small_blocks, store, gamma, side):
     for seed in range(3):
         problem = _problem(store, gamma, seed=seed)
         fixed = _fixed(problem, side, seed + 10)
-        got, misfit = _factor_update(problem, fixed, side)
+        got, misfit, _ = _factor_update(problem, fixed, side)
         want = reference_sensing_update(problem, fixed, side)
         np.testing.assert_allclose(got, want, rtol=1e-12)
         u, v = (fixed, got) if side == "V" else (got, fixed)
@@ -118,15 +119,33 @@ def test_update_matches_einsum_oracle(small_blocks, store, gamma, side):
 def test_stored_and_replay_updates_are_bit_identical(small_blocks, side):
     stored, replay = _problem(True, 0.1), _problem(False, 0.1)
     fixed = _fixed(stored, side, 4)
-    got_stored, misfit_stored = _factor_update(stored, fixed, side)
-    got_replay, misfit_replay = _factor_update(replay, fixed, side)
+    got_stored, misfit_stored, _ = _factor_update(stored, fixed, side)
+    got_replay, misfit_replay, _ = _factor_update(replay, fixed, side)
     np.testing.assert_array_equal(got_stored, got_replay)
     assert misfit_stored == misfit_replay
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("side", ["U", "V"])
+def test_update_bits_do_not_depend_on_the_cpu_count(small_blocks, monkeypatch, side, workers):
+    # 40 rows in blocks of 7, each drawn in 1 to 3 pieces whose design rows
+    # are built on the worker that drew them; the recording pass draws them
+    # in turn, later passes on the pool, into a fresh or a reused design
+    stored = _problem(True, 0.1)
+    fixed = _fixed(stored, side, 4)
+    want, want_misfit, _ = _factor_update(stored, fixed, side)
+    monkeypatch.setattr(measurement, "_workers", lambda: workers)
+    replay = _problem(False, 0.1)
+    for problem in (stored, replay):
+        for designs in (None, _design_buffers(problem), None):
+            got, misfit, _ = _factor_update(problem, fixed, side, designs)
+            np.testing.assert_array_equal(got, want)
+            assert misfit == want_misfit
+
+
 def test_one_operator_pass_per_half_sweep(monkeypatch):
-    # spectral init (one adjoint) and the initial objective (one apply) make
-    # two passes; every half-sweep after that makes exactly one
+    # spectral init (one adjoint) makes one pass, and every half-sweep makes
+    # exactly one; the first also gives the initial objective
     root = RandomStream(7)
     truth = generate_truth(8, 7, 2, 1, 0.0, root.child(0))
     op = make_operator("gaussian", 8, 7, 120, root.child(1), store=False)
@@ -135,32 +154,33 @@ def test_one_operator_pass_per_half_sweep(monkeypatch):
     calls = []
     iter_blocks = GaussianOperator.iter_blocks
 
-    def counted(self):
+    def counted(self, *args, **kwargs):
         calls.append(1)
-        return iter_blocks(self)
+        return iter_blocks(self, *args, **kwargs)
 
     monkeypatch.setattr(GaussianOperator, "iter_blocks", counted)
     sol = solve(problem, max_sweeps=3, tol=0.0)
     assert sol.iterations == 3
     assert len(sol.objective_trace) == 7  # no half-sweep was rejected
-    assert len(calls) == 2 + 2 * 3
+    assert len(calls) == 1 + 2 * 3
 
 
-@pytest.mark.parametrize("store", [True, False])
-def test_update_holds_the_design_one_block_and_two_grams(monkeypatch, store):
-    # 30x40, rank 4, side V: k = 160 unknowns, so a (k, k) array (205 kB)
-    # outweighs an 8-row block (77 kB); m = 60 spans eight blocks
+def _update_peak(monkeypatch, store, bins):
+    """tracemalloc peak of one V-side update, with the sizes it is bounded by.
+
+    30x40, rank 4: k = 160 unknowns, so a (k, k) array (205 kB) outweighs an
+    8-row block (77 kB); m = 60 spans eight blocks per bin."""
     monkeypatch.setattr(measurement, "_block_rows", lambda n1, n2: 8)
     monkeypatch.setattr(measurement, "_workers", lambda: 2)
     n1, n2, rank, m = 30, 40, 4, 60
     root = RandomStream(21)
-    truth = generate_truth(n1, n2, rank, 1, 0.0, root.child(0))
-    op = make_operator("gaussian", n1, n2, m, root.child(1), store=store)
-    obs = observe([op], truth, 0.05, root.child(2))
-    problem = LowemsProblem(obs, WeightVector(np.array([1.0])), rank, gamma=0.1)
+    truth = generate_truth(n1, n2, rank, bins, 0.0, root.child(0))
+    ops = [make_operator("gaussian", n1, n2, m, root.child(1).child(t), store=store)
+           for t in range(bins)]
+    obs = observe(ops, truth, 0.05, root.child(2))
+    problem = LowemsProblem(obs, WeightVector(np.full(bins, 1.0 / bins)), rank, gamma=0.1)
     fixed = _fixed(problem, "V", 22)
     k = n2 * rank
-    design, block, gram = m * k * 8, 8 * n1 * n2 * 8, k * k * 8
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -168,7 +188,22 @@ def test_update_holds_the_design_one_block_and_two_grams(monkeypatch, store):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= design + block + 2 * gram + gram // 4
+    return peak, m * k * 8, 8 * n1 * n2 * 8, k * k * 8
+
+
+@pytest.mark.parametrize("store", [True, False])
+def test_one_bin_update_holds_the_design_and_one_block_or_gram(monkeypatch, store):
+    # the Gram is allocated after the pass has freed its last block
+    peak, design, block, gram = _update_peak(monkeypatch, store, bins=1)
+    assert peak <= design + max(block, gram) + gram // 4
+
+
+@pytest.mark.parametrize("store", [True, False])
+def test_update_holds_the_design_one_block_and_two_grams(monkeypatch, store):
+    # two live bins: both designs, then the first Gram beside the second
+    # bin's block, and its product
+    peak, design, block, gram = _update_peak(monkeypatch, store, bins=2)
+    assert peak <= 2 * design + block + 2 * gram + gram // 4
 
 
 def _random_batch(gen):

@@ -271,6 +271,38 @@ class TestSolve:
         assert isinstance(err.value.factors, FactorPair)
         assert err.value.trace.size == 0
 
+    @pytest.mark.parametrize("variant", ["sampling", "gaussian"])
+    def test_non_finite_start_raises_before_any_solve(self, monkeypatch, variant):
+        problem, _ = _planted_problem(variant=variant, seed=216)
+        obs = ObservationSet(
+            problem.obs.ops, tuple(np.full_like(y, 1e300) for y in problem.obs.y),
+            problem.obs.noise_std,
+        )
+        prob = LowemsProblem(obs, problem.weights, rank=2)
+
+        def refuse(*args):
+            raise AssertionError("a system was solved")
+
+        monkeypatch.setattr(solver_module, "_solve_systems", refuse)
+        with pytest.raises(DivergenceError, match="initial") as err, np.errstate(over="ignore"):
+            solve(prob, init="random", rng=RandomStream(1))
+        assert err.value.trace.size == 0
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.2])
+    def test_initial_objective_comes_from_the_first_system(self, gamma):
+        # sampling: the same product and per-bin sums, so the same bits;
+        # sensing: the design's residual, equal up to rounding
+        for variant in ("sampling", "gaussian"):
+            problem, _ = _planted_problem(
+                variant=variant, noise_std=0.1, gamma=gamma, seed=220
+            )
+            want = objective(problem, init_factors(problem))
+            got = solve(problem, max_sweeps=1).objective_trace[0]
+            if variant == "sampling":
+                assert got == want
+            else:
+                assert got == pytest.approx(want, rel=1e-13)
+
     def test_validation(self):
         problem, _ = _planted_problem(seed=217)
         with pytest.raises(ValueError):
@@ -285,7 +317,8 @@ class TestStopState:
     """``converged``, ``iterations`` and the trace length for each way
     :func:`solve` stops.  The scripted runs replace each half-sweep's misfit
     by a given multiple of the initial objective (``gamma = 0``, so the misfit
-    is the objective); the factors are still the real updates."""
+    is the objective), and the first one reports that objective itself; the
+    factors are still the real updates."""
 
     @staticmethod
     def _scripted(monkeypatch, problem, ratios):
@@ -293,8 +326,9 @@ class TestStopState:
         script = iter(ratios)
         real = solver_module._factor_update
 
-        def update(problem, fixed, side):
-            return real(problem, fixed, side)[0], next(script) * start
+        def update(problem, fixed, side, designs=None, start_factor=None):
+            factor = real(problem, fixed, side)[0]
+            return factor, next(script) * start, None if start_factor is None else start
 
         monkeypatch.setattr(solver_module, "_factor_update", update)
         return start
