@@ -18,6 +18,7 @@ from .measurement import (
     GaussianOperator,
     ObservationSet,
     SamplingOperator,
+    VARIANTS,
 )
 
 _FORMAT = 1
@@ -67,6 +68,8 @@ def load_bundle(path) -> ObservationSet:
         if int(data["format"]) != _FORMAT:
             raise ValueError(f"unsupported bundle format {int(data['format'])}")
         variant = str(data["variant"])
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown bundle variant {variant!r}")
         n1, n2, d = int(data["n1"]), int(data["n2"]), int(data["d"])
         noise_std = float(data["noise_std"])
         ops, ys = [], []

@@ -90,6 +90,8 @@ class SweepConfig:
             raise ValueError("noise levels must be nonnegative")
         if not self.drift_grid:
             raise ValueError("drift_grid must be nonempty")
+        if self.success_threshold not in NONNEGATIVE:
+            raise ValueError(f"success_threshold must be {NONNEGATIVE}")
         if not self.strategies:
             raise ValueError("strategies must be nonempty")
         for s in self.strategies:

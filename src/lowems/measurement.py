@@ -369,6 +369,8 @@ def estimate_rip(
     the sampled low-rank directions; it is a probe, not a certified constant.
     """
     ops = tuple(ops)
+    if not ops:
+        raise ValueError("the operator list is empty")
     if trials not in COUNT:
         raise ValueError(f"trials must be {COUNT}")
     n1, n2 = ops[0].n1, ops[0].n2

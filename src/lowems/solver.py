@@ -8,28 +8,30 @@ over factor pairs ``(U, V)`` of width ``rank``.  Each half-sweep solves one
 factor's weighted least-squares subproblem exactly while the other is held
 fixed, so the objective is nonincreasing along the iteration.
 
-Both variants share one update, :func:`_factor_update`: a per-variant
-builder assembles the normal equations as a batch of systems plus a function
-giving the candidate's misfit, and the update adds the ridge, solves and
-reshapes.  Sampling gives one tiny system per output row; all rows come
-from one GEMM of dense merged weights (two ``n1 * n2`` arrays) cached on the
-problem, so its cost follows ``n1 * n2`` rather than the observation count.
-Dense sensing gives one stacked system in ``n * rank`` unknowns from one
-pass over the operator.  Its design rows are one BLAS matmul per drawn
-piece, run on the thread that drew it, into one buffer per live bin that
-:func:`solve` allocates once (``m * max(n1, n2) * rank`` floats), so the
-misfit is read from them without producing the blocks a second time and no
-half-sweep faults its design in again.  The Gram matrix is allocated only
-after the pass has freed its block.  The first half-sweep's misfit function
-also gives the starting objective, so a solve makes one pass per
-half-sweep, plus one for a spectral init.  Replay-mode operators never
-materialize their sensing stack.
+Both variants share one update, :func:`_factor_update`: the builder that
+:func:`_normal_equations` makes once per solve assembles the normal
+equations as a batch of systems plus a function giving the candidate's
+misfit, and the update adds the ridge, solves and reshapes.  Sampling gives
+one tiny system per output row; all rows come from one GEMM of dense merged
+weights (two ``n1 * n2`` arrays) held by the builder, so its cost follows
+``n1 * n2`` rather than the observation count.  Dense sensing gives one
+stacked system in ``n * rank`` unknowns from one pass over the operator.
+Its design rows are one BLAS matmul per drawn piece, run on the thread that
+drew it, into one buffer per live bin that the builder holds
+(``m * max(n1, n2) * rank`` floats), so the misfit is read from them without
+producing the blocks a second time and no half-sweep faults its design in
+again.  The Gram matrix is allocated only after the pass has freed its
+block.  The first half-sweep's misfit function also gives the starting
+objective, so a solve makes one pass per half-sweep, plus one for a spectral
+init.  Replay-mode operators never materialize their sensing stack.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -188,15 +190,13 @@ def _factor_update(
     problem: LowemsProblem,
     fixed: np.ndarray,
     side: str,
-    designs: list[np.ndarray] | None = None,
+    system: Callable | None = None,
     start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, float | None]:
     """The minimizing ``side`` factor and the data-fit term (no ridge) of the
-    pair it forms with ``fixed``, from the variant's batch of normal
-    equations ``gram[k] @ x[k] = rhs[k]`` and misfit function.
-
-    ``designs`` are the dense sensing design buffers of
-    :func:`_design_buffers`; without them the design is allocated here.
+    pair it forms with ``fixed``, from the batch of normal equations
+    ``gram[k] @ x[k] = rhs[k]`` and misfit function that ``system``, the
+    builder of :func:`_normal_equations`, gives; without it one is made here.
     Given ``start``, the current ``side`` factor, the full objective of the
     pair it forms with ``fixed`` is read from the same misfit function before
     the system is solved, and returned third (else ``None``); a non-finite
@@ -208,12 +208,7 @@ def _factor_update(
         raise ValueError(
             f"fixed factor has shape {fixed.shape}, expected {(n_in, rank)}"
         )
-    if obs.variant == "sampling":
-        kind = "per-row"
-        gram, rhs, misfit = _sampling_system(problem, fixed, side, n_out)
-    else:
-        kind = "stacked"
-        gram, rhs, misfit = _sensing_system(problem, fixed, side, n_out, designs)
+    gram, rhs, misfit = (system or _normal_equations(problem))(fixed, side, n_out)
     initial = None
     if start is not None:
         pair = FactorPair(start, fixed) if side == "U" else FactorPair(fixed, start)
@@ -223,47 +218,49 @@ def _factor_update(
     if problem.gamma > 0.0:
         diag = np.arange(gram.shape[-1])
         gram[:, diag, diag] += 2.0 * problem.gamma
+    kind = "per-row" if obs.variant == "sampling" else "stacked"
     factor = _solve_systems(gram, rhs, kind).reshape(n_out, rank)
     return factor, misfit(factor), initial
 
 
-def _sampling_design(problem: LowemsProblem) -> tuple[np.ndarray, np.ndarray]:
-    """The merged weights ``c[i, j] = sum w_t`` and ``b[i, j] = sum w_t * y``
-    of the live bins' observations of entry ``(i, j)``, as dense ``(n1, n2)``
-    arrays summed in input order over the operators' ``flat`` positions, and
-    cached on the problem (its inputs are read-only).  Nothing else is kept."""
-    design = problem.__dict__.get("_sampling_design")
-    if design is None:
-        obs = problem.obs
-        live = _live_bins(problem.weights.w, obs.ops, obs.y)
-        flat = np.concatenate([op.flat for _, op, _ in live])
-        y = np.concatenate([y_t for _, _, y_t in live])
-        w = np.concatenate([np.full(op.m, w_t) for w_t, op, _ in live])
-        c = np.bincount(flat, w, obs.n1 * obs.n2).reshape(obs.n1, obs.n2)
-        b = np.bincount(flat, w * y, obs.n1 * obs.n2).reshape(obs.n1, obs.n2)
-        design = problem.__dict__["_sampling_design"] = (c, b)
-    return design
+def _normal_equations(problem: LowemsProblem) -> Callable:
+    """The variant's ``build(fixed, side, n_out) -> (gram, rhs, misfit)``,
+    holding what every half-sweep of a solve shares: for sampling, the merged
+    weights ``c[i, j] = sum w_t`` and ``b[i, j] = sum w_t * y`` of the live
+    bins' observations of entry ``(i, j)``, dense ``(n1, n2)`` arrays summed
+    in input order over the operators' ``flat`` positions; for dense sensing,
+    one buffer per live bin with room for either side's design.  Made per
+    solve and not cached: a problem may be solved on two threads at once."""
+    obs = problem.obs
+    live = _live_bins(problem.weights.w, obs.ops, obs.y)
+    if obs.variant == "gaussian":
+        width = max(obs.n1, obs.n2) * problem.rank
+        return partial(_sensing_system, live, [np.empty(op.m * width) for _, op, _ in live])
+    flat = np.concatenate([op.flat for _, op, _ in live])
+    y = np.concatenate([y_t for _, _, y_t in live])
+    w = np.concatenate([np.full(op.m, w_t) for w_t, op, _ in live])
+    c = np.bincount(flat, w, obs.n1 * obs.n2).reshape(obs.n1, obs.n2)
+    b = np.bincount(flat, w * y, obs.n1 * obs.n2).reshape(obs.n1, obs.n2)
+    return partial(_sampling_system, live, c, b)
 
 
 def _sampling_system(
-    problem: LowemsProblem, fixed: np.ndarray, side: str, n_out: int
+    live: list, c: np.ndarray, b: np.ndarray, fixed: np.ndarray, side: str, n_out: int
 ) -> tuple:
-    """Per-row normal equations for the sampling variant, from the cached
-    :func:`_sampling_design` in the weighted-ALS form (Hu, Koren and Volinsky,
-    2008): Gram matrices ``c @ outer(fixed)``, right-hand sides ``b @ fixed``,
-    with ``c`` and ``b`` read transposed (views) for V.  That costs
+    """Per-row normal equations for the sampling variant, from the merged
+    ``c`` and ``b`` in the weighted-ALS form (Hu, Koren and Volinsky, 2008):
+    Gram matrices ``c @ outer(fixed)``, right-hand sides ``b @ fixed``, with
+    ``c`` and ``b`` read transposed (views) for V.  That costs
     ``n1 * n2 * rank**2`` multiply-adds whatever the number of observations,
     so it pays on densely sampled problems.  Unobserved rows keep an exactly
     zero Gram matrix.  The misfit reads each live bin through its operator's
     ``flat`` positions; unlike :func:`weighted_misfit`, which scans the
     product for non-finite entries once per bin, it scans once per product."""
-    c, b = _sampling_design(problem)
     if side == "V":
         c, b = c.T, b.T
     r = fixed.shape[1]
     outer = (fixed[:, :, None] * fixed[:, None, :]).reshape(-1, r * r)
     gram = (c @ outer).reshape(n_out, r, r)
-    live = _live_bins(problem.weights.w, problem.obs.ops, problem.obs.y)
 
     def misfit(x: np.ndarray) -> float:
         product = check_matrix(fixed @ x.T if side == "V" else x @ fixed.T, "x")
@@ -273,20 +270,8 @@ def _sampling_system(
     return gram, b @ fixed, misfit
 
 
-def _design_buffers(problem: LowemsProblem) -> list[np.ndarray] | None:
-    """For dense sensing, one flat buffer per live bin with room for either
-    side's design, which :func:`solve` reuses in every half-sweep (not cached
-    on the problem, which may be solved on two threads at once)."""
-    obs = problem.obs
-    if obs.variant != "gaussian":
-        return None
-    width = max(obs.n1, obs.n2) * problem.rank
-    return [np.empty(op.m * width) for _, op in _live_bins(problem.weights.w, obs.ops)]
-
-
 def _sensing_system(
-    problem: LowemsProblem, fixed: np.ndarray, side: str, n_out: int,
-    designs: list[np.ndarray] | None = None,
+    live: list, designs: list[np.ndarray], fixed: np.ndarray, side: str, n_out: int
 ) -> tuple:
     """The stacked normal equations of the dense sensing variant, a batch of
     one ``(k, k)`` system with ``k = n_out * rank``, in one pass over the
@@ -296,19 +281,15 @@ def _sensing_system(
     ``<A_i, U V^T> = <A_i^T U, V>``); for ``side == "U"`` it is ``A_i @ V``.
     Each piece's rows are one BLAS matmul (the transposed piece is read as a
     view, never copied), run by the thread that drew the piece.  The design
-    of every live bin is kept, ``m * n_out * rank`` floats each, in
-    ``designs`` when given, to accumulate the normal equations and then to
+    of every live bin is kept, ``m * n_out * rank`` floats each, in its
+    buffer of ``designs``, to accumulate the normal equations and then to
     give the candidate's misfit from its explicit residual ``D_t x - y_t``.
     The Gram matrix is allocated only after the pass has freed its block.
     """
-    obs, r = problem.obs, fixed.shape[1]
-    k = n_out * r
-    live = _live_bins(problem.weights.w, obs.ops, obs.y)
-    if designs is None:
-        designs = [np.empty(op.m * k) for _, op, _ in live]
+    k = n_out * fixed.shape[1]
     gram, rhs, kept = None, np.zeros(k), []
     for (w_t, op, y_t), buffer in zip(live, designs):
-        design = buffer[: op.m * k].reshape(op.m, n_out, r)
+        design = buffer[: op.m * k].reshape(op.m, n_out, -1)
 
         def rows(start: int, piece: np.ndarray, design=design) -> None:
             a = piece.transpose(0, 2, 1) if side == "V" else piece
@@ -384,14 +365,14 @@ def solve(
         raise ValueError(f"tol must be {NONNEGATIVE}")
     pair = init_factors(problem, init, rng)
     u, v = pair.U, pair.V
-    designs = _design_buffers(problem)
+    system = _normal_equations(problem)
     current, trace = None, []
     for iterations in range(1, max_sweeps + 1):
         sweep_start = current
         stagnated = False
         for side in ("U", "V"):
             factor, misfit, initial = _factor_update(
-                problem, v if side == "U" else u, side, designs, u if current is None else None
+                problem, v if side == "U" else u, side, system, u if current is None else None
             )
             if initial is not None:  # the first system also gives the starting objective
                 current = sweep_start = initial

@@ -165,13 +165,21 @@ class TestReplayMaterialization:
 
 
 class TestFormatGuard:
-    def test_unknown_format_version_rejected(self, tmp_path):
-        obs = _make_observations("sampling")
+    @staticmethod
+    def _resaved(tmp_path, member, value):
+        """A sampling bundle, re-saved with ``member`` set to ``value``."""
         path = tmp_path / "bundle.npz"
-        save_bundle(path, obs)
+        save_bundle(path, _make_observations("sampling"))
         with np.load(path) as data:
             payload = {name: data[name] for name in data.files}
-        payload["format"] = np.asarray(99)
+        payload[member] = np.asarray(value)
         np.savez(path, **payload)
+        return path
+
+    def test_unknown_format_version_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
-            load_bundle(path)
+            load_bundle(self._resaved(tmp_path, "format", 99))
+
+    def test_unknown_variant_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown bundle variant 'foo'"):
+            load_bundle(self._resaved(tmp_path, "variant", "foo"))

@@ -373,3 +373,5 @@ class TestEstimateRip:
             estimate_rip(ops, w, rank=2, trials=0, rng=RandomStream(65))
         with pytest.raises(ValueError):
             estimate_rip(ops, w, rank=7, trials=3, rng=RandomStream(65))
+        with pytest.raises(ValueError, match="operator list is empty"):
+            estimate_rip([], w, rank=2, trials=3, rng=RandomStream(65))

@@ -1,26 +1,28 @@
 """The sampling factor update against the per-measurement ``np.add.at``
-assembly it replaced, its misfit against :func:`weighted_misfit`, the reuse
-and size of its cached design, plus the read-only inputs that design relies
-on.
+assembly it replaced, its misfit against :func:`weighted_misfit`, the
+number and size of the designs a solve builds, plus the read-only inputs
+that design relies on.
 
 ``reference_sampling_update`` is the earlier implementation, kept verbatim
 as an oracle: it rebuilds every Gram matrix and right-hand side from the raw
 (unmerged, unsorted) measurements on each call.
 """
 
+import dataclasses
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from lowems import solver as solver_module
 from lowems.core import RandomStream
 from lowems.measurement import ObservationSet, SamplingOperator, make_operator
 from lowems.solver import (
     LowemsProblem,
     RankDeficiencyWarning,
     _factor_update,
-    _sampling_design,
+    _normal_equations,
     solve,
     update_U,
     update_V,
@@ -143,16 +145,21 @@ def test_unobserved_row_matches_oracle(gamma):
         assert np.all(got[unseen] == 0.0)
 
 
-def test_design_is_built_once_per_problem():
+def test_design_is_built_once_per_solve(monkeypatch):
     problem = _problem((50, 60), (0.5, 0.5))
-    (update_u, v, _), (update_v, u, _) = _both_sides(problem, 1)
-    update_u(problem, v)
-    cached = problem.__dict__["_sampling_design"]
-    for _ in range(2):
-        update_v(problem, u)
-        update_u(problem, v)
-    solve(problem, max_sweeps=3)
-    assert problem.__dict__["_sampling_design"] is cached
+    built = []
+
+    def counted(problem):
+        built.append(1)
+        return _normal_equations(problem)
+
+    monkeypatch.setattr(solver_module, "_normal_equations", counted)
+    sol = solve(problem, max_sweeps=3, tol=0.0)
+    assert sol.iterations == 3
+    assert len(sol.objective_trace) == 7  # no half-sweep was rejected
+    assert len(built) == 1
+    # nothing is cached on the problem: it holds its fields and no more
+    assert set(vars(problem)) == {f.name for f in dataclasses.fields(problem)}
 
 
 def test_design_memory_is_two_dense_arrays():
@@ -163,12 +170,13 @@ def test_design_memory_is_two_dense_arrays():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        _sampling_design(problem)
+        build = _normal_equations(problem)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     floats = 2 * 60 * 40  # c and b
     assert 8 * floats < held <= 8 * floats + 4096  # 4 KiB for the Python containers
+    del build
 
 
 def test_non_finite_product_is_refused_like_weighted_misfit():

@@ -21,8 +21,8 @@ from lowems.measurement import GaussianOperator, ObservationSet, make_operator, 
 from lowems.solver import (
     LowemsProblem,
     RankDeficiencyWarning,
-    _design_buffers,
     _factor_update,
+    _normal_equations,
     _solve_systems,
     solve,
     weighted_misfit,
@@ -137,8 +137,9 @@ def test_update_bits_do_not_depend_on_the_cpu_count(small_blocks, monkeypatch, s
     monkeypatch.setattr(measurement, "_workers", lambda: workers)
     replay = _problem(False, 0.1)
     for problem in (stored, replay):
-        for designs in (None, _design_buffers(problem), None):
-            got, misfit, _ = _factor_update(problem, fixed, side, designs)
+        built = _normal_equations(problem)
+        for system in (None, built, built):
+            got, misfit, _ = _factor_update(problem, fixed, side, system)
             np.testing.assert_array_equal(got, want)
             assert misfit == want_misfit
 

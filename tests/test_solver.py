@@ -326,7 +326,7 @@ class TestStopState:
         script = iter(ratios)
         real = solver_module._factor_update
 
-        def update(problem, fixed, side, designs=None, start_factor=None):
+        def update(problem, fixed, side, system=None, start_factor=None):
             factor = real(problem, fixed, side)[0]
             return factor, next(script) * start, None if start_factor is None else start
 
@@ -413,11 +413,15 @@ _SWEEP = dict(n1=6, n2=5, rank=1, d=1, noise_std=0.1, drift_grid=(0.0,), seed=1,
          "noise levels"),
         (lambda p, t: run_error_sweep(SweepConfig(**{**_SWEEP, "drift_grid": (_NAN,)})),
          "noise levels"),
+        (lambda p, t: run_error_sweep(SweepConfig(**{**_SWEEP, "success_threshold": _NAN})),
+         "success_threshold"),
+        (lambda p, t: run_error_sweep(SweepConfig(**{**_SWEEP, "success_threshold": -1.0})),
+         "success_threshold"),
         (lambda p, t: kappa_for(_NAN, 0.1), "standard deviations"),
     ],
     ids=["problem-gamma", "solve-tol", "generate_truth", "truth-drift_std",
          "observation_set", "observe", "sweep-noise_std", "sweep-drift_grid",
-         "kappa_for"],
+         "sweep-success_threshold", "sweep-success_threshold-negative", "kappa_for"],
 )
 def test_nan_fails_nonnegativity_checks(call, message):
     problem, truth = _planted_problem(seed=219)
