@@ -30,13 +30,11 @@ from .measurement import (
     observe,
 )
 from .solver import (
-    BasicInequalityReport,
     DivergenceError,
     FactorPair,
     LowemsProblem,
     RankDeficiencyWarning,
     Solution,
-    check_basic_inequality,
     init_factors,
     objective,
     solve,
@@ -54,7 +52,6 @@ from .weights import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasicInequalityReport",
     "DiagnosticsRow",
     "DivergenceError",
     "DynamicGroundTruth",
@@ -73,7 +70,6 @@ __all__ = [
     "WeightVector",
     "baseline_weights",
     "bound_shape",
-    "check_basic_inequality",
     "default_p_grid",
     "estimate_rip",
     "frobenius_norm",

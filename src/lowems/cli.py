@@ -18,6 +18,7 @@ import dataclasses
 import json
 import math
 import sys
+import zipfile
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .experiments import (
     theorem_diagnostics,
 )
 from .measurement import VARIANTS, estimate_rip, make_operator
-from .solver import LowemsProblem, solve
+from .solver import INIT_MODES, LowemsProblem, solve
 from .weights import WeightVector, baseline_weights, optimal_weights
 
 
@@ -221,7 +222,7 @@ def _cmd_solve(args) -> int:
         raise UsageError("--init random requires --seed")
     try:
         obs = load_bundle(args.bundle)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise UsageError(f"cannot load bundle {args.bundle}: {exc}") from None
     _check_rank(args, obs.n1, obs.n2)
     weights = _parse_weights(args.weights, obs.d, args.kappa)
@@ -400,7 +401,7 @@ def build_parser() -> _Parser:
     slv.add_argument("--kappa", type=float)
     slv.add_argument("--rank", type=int, required=True)
     slv.add_argument("--gamma", type=float, default=0.0)
-    slv.add_argument("--init", choices=("spectral", "random"), default="spectral")
+    slv.add_argument("--init", choices=INIT_MODES, default="spectral")
     slv.add_argument("--max-sweeps", type=int, default=500)
     slv.add_argument("--tol", type=float, default=1e-8)
     slv.add_argument("--max-entry", type=float)
@@ -429,9 +430,7 @@ def build_parser() -> _Parser:
         sw.add_config_option("--trials", type=int, default=10)
         sw.add_config_option("--variant", choices=VARIANTS, default="sampling")
         sw.add_config_option("--gamma", type=float, default=0.0)
-        sw.add_config_option(
-            "--init", choices=("spectral", "random"), default="spectral"
-        )
+        sw.add_config_option("--init", choices=INIT_MODES, default="spectral")
         sw.add_config_option("--max-sweeps", type=int, default=500)
         sw.add_config_option("--tol", type=float, default=1e-8)
         sw.add_argument("--threads", type=int, default=1)

@@ -23,8 +23,8 @@ from .core import (
     write_csv,
 )
 from .dynamics import generate_truth
-from .measurement import observe, make_operator
-from .solver import DivergenceError, LowemsProblem, solve
+from .measurement import VARIANTS, observe, make_operator
+from .solver import INIT_MODES, DivergenceError, LowemsProblem, solve
 from .weights import (
     WeightVector,
     baseline_weights,
@@ -84,19 +84,27 @@ class SweepConfig:
         if min(self.n1, self.n2) not in COUNT:
             raise ValueError("dimensions must be positive")
         check_rank(self.rank, self.n1, self.n2)
-        if not all(v in COUNT for v in (self.d, self.trials, self.threads)):
-            raise ValueError("d, trials, and threads must be positive")
+        counts = (self.d, self.trials, self.threads, self.max_sweeps)
+        if not all(v in COUNT for v in counts):
+            raise ValueError("d, trials, threads, and max_sweeps must be positive")
         if not all(s in NONNEGATIVE for s in (self.noise_std, *self.drift_grid)):
             raise ValueError("noise levels must be nonnegative")
         if not self.drift_grid:
             raise ValueError("drift_grid must be nonempty")
-        if self.success_threshold not in NONNEGATIVE:
-            raise ValueError(f"success_threshold must be {NONNEGATIVE}")
+        for name in ("gamma", "tol", "success_threshold"):
+            if getattr(self, name) not in NONNEGATIVE:
+                raise ValueError(f"{name} must be {NONNEGATIVE}")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if self.init not in INIT_MODES:
+            raise ValueError(f"unknown init mode {self.init!r}")
         if not self.strategies:
             raise ValueError("strategies must be nonempty")
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise ValueError(f"unknown strategy {s!r}")
+        if len(set(self.strategies)) < len(self.strategies):
+            raise ValueError("strategies must not repeat")
         if self.p_grid is not None:
             if not self.p_grid or any(p not in DENSITIES for p in self.p_grid):
                 raise ValueError(f"p_grid must contain densities {DENSITIES}")
@@ -133,7 +141,6 @@ class SweepResult:
 
     mode: str  # "error" | "samples"
     rows: list
-    config: SweepConfig
     traces: list = field(default_factory=list, repr=False)
 
     def to_csv(self, path) -> None:
@@ -256,7 +263,7 @@ def run_error_sweep(cfg: SweepConfig) -> SweepResult:
             rows.append(
                 SweepRow(float(drift), strategy, "mean_rel_error", mean, std, n)
             )
-    return SweepResult("error", rows, cfg, traces)
+    return SweepResult("error", rows, traces)
 
 
 def run_sample_sweep(cfg: SweepConfig) -> SweepResult:
@@ -303,7 +310,7 @@ def run_sample_sweep(cfg: SweepConfig) -> SweepResult:
         outcomes = list(pool.map(lane_work, lanes))
     rows = [o[0] for o in outcomes]
     traces = [t for o in outcomes for t in o[1]]
-    return SweepResult("samples", rows, cfg, traces)
+    return SweepResult("samples", rows, traces)
 
 
 def bound_shape(

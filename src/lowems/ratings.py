@@ -36,34 +36,25 @@ class EmptyResultError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class RatingsTable:
-    """Column-oriented rating records plus contiguous index maps.
+    """Column-oriented rating records plus their matrix coordinates.
 
-    ``user_index`` maps raw user ids onto columns ``[0, n_users)`` and
-    ``item_index`` maps raw item ids onto rows ``[0, n_items)``, both in
-    sorted raw-id order.  ``item_rows``/``user_cols`` are the records'
-    pre-mapped matrix coordinates.
+    ``user_cols`` maps each record's raw user id onto a column in
+    ``[0, n_users)`` and ``item_rows`` its raw item id onto a row in
+    ``[0, n_items)``, both in sorted raw-id order.
     """
 
     user_ids: np.ndarray
     item_ids: np.ndarray
     ratings: np.ndarray
     timestamps: np.ndarray
-    user_index: dict[int, int] = field(repr=False)
-    item_index: dict[int, int] = field(repr=False)
     user_cols: np.ndarray = field(repr=False)
     item_rows: np.ndarray = field(repr=False)
+    n_users: int
+    n_items: int
 
     @property
     def n(self) -> int:
         return self.ratings.size
-
-    @property
-    def n_users(self) -> int:
-        return len(self.user_index)
-
-    @property
-    def n_items(self) -> int:
-        return len(self.item_index)
 
 
 def _build_table(users, items, values, stamps) -> RatingsTable:
@@ -75,17 +66,15 @@ def _build_table(users, items, values, stamps) -> RatingsTable:
         raise EmptyResultError("no ratings")
     unique_users, user_cols = np.unique(users, return_inverse=True)
     unique_items, item_rows = np.unique(items, return_inverse=True)
-    user_index = {int(u): i for i, u in enumerate(unique_users)}
-    item_index = {int(v): i for i, v in enumerate(unique_items)}
     return RatingsTable(
         user_ids=users,
         item_ids=items,
         ratings=values,
         timestamps=stamps,
-        user_index=user_index,
-        item_index=item_index,
         user_cols=user_cols.astype(np.int64),
         item_rows=item_rows.astype(np.int64),
+        n_users=unique_users.size,
+        n_items=unique_items.size,
     )
 
 
@@ -235,7 +224,6 @@ class EvalSplit:
 
     test_rows: np.ndarray
     folds: tuple[tuple[np.ndarray, np.ndarray], ...]
-    test_frac: float
 
 
 def make_split(
@@ -272,7 +260,7 @@ def make_split(
         in_val[val] = True
         train = np.sort(np.concatenate([earlier, pool[~in_val[pool]]]))
         fold_list.append((train.astype(np.int64), val.astype(np.int64)))
-    return EvalSplit(test.astype(np.int64), tuple(fold_list), test_frac)
+    return EvalSplit(test.astype(np.int64), tuple(fold_list))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,15 @@
-"""Independent reference solvers the tests check the package against."""
+"""Independent reference solvers and diagnostics the tests check the
+package against."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from lowems.core import frobenius_norm
+from lowems.dynamics import DynamicGroundTruth
+from lowems.measurement import _live_bins
+from lowems.solver import LowemsProblem, Solution, weighted_misfit
 from lowems.weights import WeightVector, _check_d_kappa, baseline_weights, lag_profile
 
 
@@ -59,3 +65,72 @@ def dedup_triples_by_dict(users, items, values, stamps):
         keep[(int(users[idx]), int(items[idx]), int(stamps[idx]))] = idx
     kept = np.array(sorted(keep.values()), dtype=np.int64)
     return users[kept], items[kept], values[kept], stamps[kept]
+
+
+@dataclass(frozen=True)
+class BasicInequalityReport:
+    """Outcome of the first-order optimality diagnostic.
+
+    ``premise_holds``: the estimate fits the data at least as well (in the
+    weighted misfit, no ridge) as the final planted matrix does.  When it
+    does, ``lhs <= rhs`` is a theorem for rank-constrained estimates, so
+    ``inequality_holds`` failing alongside a true premise indicates a solver
+    or bookkeeping bug.  Both comparisons carry the floating-point guard
+    ``slack`` (1e-9 relative to the problem's magnitude): in noiseless
+    exact-recovery runs both sides are zero up to rounding, and a strict
+    comparison would be meaningless there.
+    """
+
+    lhs: float
+    rhs: float
+    premise_holds: bool
+    inequality_holds: bool
+    slack: float
+
+
+def check_basic_inequality(
+    solution: Solution,
+    truth: DynamicGroundTruth,
+    problem: LowemsProblem,
+) -> BasicInequalityReport:
+    """Check the estimate against the first-order error bound.
+
+    With ``Delta = U V^T - X_d`` (the unclipped, rank-bounded iterate minus
+    the final planted matrix), verifies
+
+        sum_t w_t ||A_t(Delta)||^2
+            <= 2 sqrt(2 rank) * ||sum_t w_t A_t*(A_t(X_d) - y_t)||_2 * ||Delta||_F
+
+    whenever the estimate's weighted misfit does not exceed the planted
+    matrix's own.  ``||.||_2`` is the exact largest singular value.
+    """
+    if truth is None:
+        raise ValueError("ground truth is required for the diagnostic")
+    obs, w = problem.obs, problem.weights.w
+    x_d = truth.X_seq[-1]
+    x_hat = solution.factors.product()
+    delta = x_hat - x_d
+
+    lhs = 0.0
+    stoch = np.zeros((obs.n1, obs.n2))
+    for w_t, op, y_t in _live_bins(w, obs.ops, obs.y):
+        a_delta = op.apply(delta)
+        lhs += w_t * float(a_delta @ a_delta)
+        stoch += w_t * op.adjoint(op.apply(x_d) - y_t)
+    rhs = (
+        2.0
+        * np.sqrt(2.0 * problem.rank)
+        * float(np.linalg.norm(stoch, 2))
+        * frobenius_norm(delta)
+    )
+
+    fit_hat = weighted_misfit(obs, w, x_hat)
+    fit_truth = weighted_misfit(obs, w, x_d)
+    slack = 1e-9 * max(1.0, fit_truth, lhs, rhs)
+    return BasicInequalityReport(
+        lhs=float(lhs),
+        rhs=float(rhs),
+        premise_holds=fit_hat <= fit_truth + slack,
+        inequality_holds=lhs <= rhs + slack,
+        slack=slack,
+    )

@@ -33,9 +33,9 @@ from lowems.ratings import (
     make_split,
     synthetic_ratings,
 )
-from lowems.solver import LowemsProblem, check_basic_inequality, solve
+from lowems.solver import LowemsProblem, solve
 from lowems.weights import baseline_weights, optimal_weights
-from oracles import solve_weight_qp
+from oracles import check_basic_inequality, solve_weight_qp
 
 
 def _verdict(capsys, n, ok, detail):

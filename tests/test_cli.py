@@ -212,6 +212,19 @@ class TestExitCodes:
         assert code == 1
         assert "cannot load bundle" in err and "time bin 1" in err
 
+    def test_truncated_bundle_is_usage_error(self, capsys, bundle_path, tmp_path):
+        raw = bundle_path.read_bytes()
+        half = tmp_path / "half.npz"
+        half.write_bytes(raw[: len(raw) // 2])
+        code, _, err = _run(
+            capsys,
+            ["solve", "--bundle", str(half), "--weights", "equal", "--rank", "2",
+             "--out-x", str(tmp_path / "x.csv")],
+        )
+        assert code == 1
+        assert f"cannot load bundle {half}: " in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_runtime_failure_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("user_id,item_id,rating,timestamp\n1,2\n")
@@ -702,6 +715,7 @@ class TestNonFiniteOptions:
               "--kappa", "1", "--out", "e.csv", "--seed", "1"],
              "rank must be in [1, 15], got 16"),
             ([*_ERROR_SWEEP, "--strategies", "foo"], "unknown strategy 'foo'"),
+            ([*_ERROR_SWEEP, "--strategies", "optimal,optimal"], "strategies must not repeat"),
             ([*_SAMPLE_SWEEP, "--p-grid", "0.5,0.2"], "p_grid must be ascending"),
             # empty grids, refused before anything is read or solved
             ([*_ERROR_SWEEP, "--drift-grid", ""], "drift_grid must be nonempty"),
@@ -713,7 +727,8 @@ class TestNonFiniteOptions:
              "p-grid-above-one", "test-frac", "seed",
              *[f"count{flag}" for flag in _COUNT_FLAGS], "folds",
              "rank-above-dimensions", "generate-rank", "rip-probe-rank", "solve-rank",
-             "ratings-cv-rank", "ratings-eval-rank", "unknown-strategy", "p-grid-descending",
+             "ratings-cv-rank", "ratings-eval-rank", "unknown-strategy", "repeated-strategy",
+             "p-grid-descending",
              "empty-drift-grid", "empty-kappa-grid"],
     )
     def test_negative_value_is_usage_error(self, capsys, tmp_path, monkeypatch, bundle_path,

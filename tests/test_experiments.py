@@ -133,6 +133,16 @@ class TestErrorSweep:
             run_error_sweep(_tiny_error_cfg(strategies=("fastest",)))
         with pytest.raises(ValueError):
             run_error_sweep(_tiny_error_cfg(trials=0))
+        # refused when the config is built, before any cell runs
+        for bad, message in [
+            ({"variant": "foo"}, "variant must be one of"),
+            ({"init": "newton"}, "unknown init mode 'newton'"),
+            ({"gamma": -1.0}, "gamma must be nonnegative"),
+            ({"max_sweeps": 0}, "max_sweeps must be positive"),
+            ({"strategies": ("optimal", "optimal")}, "strategies must not repeat"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                _tiny_error_cfg(**bad)
 
     def test_csv_round_trip(self, tmp_path):
         cfg = _tiny_error_cfg(trials=2, drift_grid=(0.25,), strategies=("optimal",))

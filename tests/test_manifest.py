@@ -1,0 +1,53 @@
+"""Every CLI command's primary outputs, at reduced size, against the
+committed manifest (regenerated by ``tests/make_manifest.py``)."""
+
+import json
+
+import numpy as np
+import pytest
+
+from make_manifest import MANIFEST, RTOL, run_recipes
+
+
+@pytest.fixture(scope="module")
+def recipes(tmp_path_factory):
+    return run_recipes(tmp_path_factory.mktemp("manifest"))
+
+
+def _mismatch(actual, expected) -> str | None:
+    """Why one output value differs from its manifest value, or None."""
+    if isinstance(expected, str) or (
+        isinstance(expected, list) and any(isinstance(e, str) for e in expected)
+    ):
+        return None if actual == expected else f"{actual!r} != {expected!r}"
+    a = np.asarray(actual, dtype=float)
+    e = np.asarray(expected, dtype=float)
+    if a.shape != e.shape:
+        return f"shape {a.shape} != {e.shape}"
+    finite = np.abs(e[np.isfinite(e)])
+    atol = RTOL * (finite.max() if finite.size else 0.0)
+    if np.allclose(a, e, rtol=0.0, atol=atol, equal_nan=True):
+        return None
+    worst = np.nanmax(np.abs(a - e))
+    return f"max abs difference {worst:.3g} > {atol:.3g}"
+
+
+def test_every_output_matches_the_manifest(recipes):
+    entries, _ = recipes
+    manifest = json.loads(MANIFEST.read_text())
+    assert sorted(entries) == sorted(manifest)
+    moved = []
+    for output, members in manifest.items():
+        assert sorted(entries[output]) == sorted(members), output
+        for member, expected in members.items():
+            why = _mismatch(entries[output][member], expected)
+            if why:
+                moved.append(f"{output} [{member}]: {why}")
+    assert not moved, "outputs moved:\n" + "\n".join(moved)
+
+
+def test_every_solve_stops_on_tol(recipes):
+    _, solves = recipes
+    assert len(solves) == 28  # solve 2, sweep-error 12, sweep-samples 6, ratings 8
+    capped = [s for s in solves if not s[2]]
+    assert not capped, f"solves that did not stop on tol: {capped}"

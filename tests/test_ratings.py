@@ -44,8 +44,8 @@ class TestIngest:
         assert table.n == 3
         assert table.n_users == 2 and table.n_items == 2
         # index maps are contiguous and in sorted raw-id order
-        assert table.user_index == {3: 0, 7: 1}
-        assert table.item_index == {100: 0, 300: 1}
+        assert dict(zip(table.user_ids.tolist(), table.user_cols.tolist())) == {3: 0, 7: 1}
+        assert dict(zip(table.item_ids.tolist(), table.item_rows.tolist())) == {100: 0, 300: 1}
         np.testing.assert_array_equal(table.user_cols, [1, 0, 1])
         np.testing.assert_array_equal(table.item_rows, [1, 0, 0])
         np.testing.assert_array_equal(table.ratings, [4.0, 2.5, 5.0])

@@ -15,7 +15,6 @@ from lowems.solver import (
     LowemsProblem,
     RankDeficiencyWarning,
     Solution,
-    check_basic_inequality,
     init_factors,
     objective,
     solve,
@@ -24,6 +23,7 @@ from lowems.solver import (
     weighted_misfit,
 )
 from lowems.weights import WeightVector, baseline_weights, kappa_for, optimal_weights
+from oracles import check_basic_inequality
 
 
 def _planted_problem(
@@ -417,11 +417,14 @@ _SWEEP = dict(n1=6, n2=5, rank=1, d=1, noise_std=0.1, drift_grid=(0.0,), seed=1,
          "success_threshold"),
         (lambda p, t: run_error_sweep(SweepConfig(**{**_SWEEP, "success_threshold": -1.0})),
          "success_threshold"),
+        (lambda p, t: SweepConfig(**{**_SWEEP, "tol": _NAN}), "tol"),
+        (lambda p, t: SweepConfig(**{**_SWEEP, "gamma": _NAN}), "gamma"),
         (lambda p, t: kappa_for(_NAN, 0.1), "standard deviations"),
     ],
     ids=["problem-gamma", "solve-tol", "generate_truth", "truth-drift_std",
          "observation_set", "observe", "sweep-noise_std", "sweep-drift_grid",
-         "sweep-success_threshold", "sweep-success_threshold-negative", "kappa_for"],
+         "sweep-success_threshold", "sweep-success_threshold-negative", "sweep-tol",
+         "sweep-gamma", "kappa_for"],
 )
 def test_nan_fails_nonnegativity_checks(call, message):
     problem, truth = _planted_problem(seed=219)
