@@ -6,7 +6,17 @@ The estimator minimizes
 
 over factor pairs ``(U, V)`` of width ``rank``.  Each half-sweep solves one
 factor's weighted least-squares subproblem exactly while the other is held
-fixed, so the objective is nonincreasing along the iteration.
+fixed, so the objective is nonincreasing along the iteration.  With the
+ridge on, a sweep that does not stop the solve is followed by a gauge step,
+:func:`_balance`: the pair is replaced by the balanced factors of the same
+product, which minimize the ridge term over all pairs of that product.
+Plain ALS moves the scale split between ``U`` and ``V`` into balance only
+slowly, so the step cuts the sweeps a ridge solve needs to reach ``tol``
+when the ridge is small next to the data term (Srebro, Rennie and
+Jaakkola, 2005; softImpute-ALS of Hastie, Mazumder, Lee and Zadeh, 2015,
+keeps its factors in this form).  Where the ridge drives a singular value
+of the product to zero, balancing slows that decay and a solve can take
+more sweeps.
 
 Both variants share one update, :func:`_factor_update`: the builder that
 :func:`_normal_equations` makes once per solve assembles the normal
@@ -344,6 +354,22 @@ def _solve_systems(gram: np.ndarray, rhs: np.ndarray, kind: str) -> np.ndarray:
     return out
 
 
+def _balance(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The balanced factors of ``u @ v.T``: with thin QRs ``u = Q_u R_u``,
+    ``v = Q_v R_v`` and the SVD ``R_u R_v^T = W S Z^T``, the pair
+    ``(Q_u W S^1/2, Q_v Z S^1/2)``.  It has the same product, and ``U^T U =
+    V^T V = S``, so ``||U||_F^2 + ||V||_F^2`` is twice the product's nuclear
+    norm, the least over all factor pairs of that product (Srebro, Rennie
+    and Jaakkola, 2005).  Singular values at rounding level (``rank * eps``
+    of the largest) are set to zero, so a factor pair that has lost rank
+    keeps exactly zero columns.  Costs ``O((n1 + n2) * rank**2)``."""
+    q_u, r_u = np.linalg.qr(u)
+    q_v, r_v = np.linalg.qr(v)
+    w, s, z_t = np.linalg.svd(r_u @ r_v.T)
+    root = np.sqrt(np.where(s > s[0] * len(s) * np.finfo(float).eps, s, 0.0))
+    return q_u @ (w * root), q_v @ (z_t.T * root)
+
+
 def solve(
     problem: LowemsProblem,
     *,
@@ -359,6 +385,15 @@ def solve(
     improve the computed objective — exact block minimization cannot increase
     the true objective, so a computed increase means the iteration has hit
     the floating-point floor and the previous iterate is kept.
+
+    With ``gamma > 0``, every sweep that does not stop the solve is followed
+    by the gauge step :func:`_balance`, kept when it lowers the ridge term.
+    It changes only the ridge, so its objective is the sweep's misfit plus
+    the new ridge, and the next sweep starts, and measures its decrease,
+    from that value.  The trace gets no entry for it, so ``objective_trace``
+    still holds the initial objective and one value per accepted half-sweep,
+    and ``iterations`` and ``converged`` keep their meaning; the returned
+    factors are the last ALS iterate.  ``gamma = 0`` solves never take it.
     """
     if max_sweeps not in COUNT:
         raise ValueError(f"max_sweeps must be {COUNT}")
@@ -391,8 +426,13 @@ def solve(
             current = cand_obj
             trace.append(current)
         converged = stagnated or sweep_start - current <= tol * max(abs(sweep_start), 1e-300)
-        if converged:
+        if converged or iterations == max_sweeps:
             break
+        if problem.gamma > 0.0:  # the last accepted half-sweep was V's: misfit is the pair's
+            bal_u, bal_v = _balance(u, v)
+            balanced = _with_ridge(problem, misfit, bal_u, bal_v)
+            if balanced < current:
+                u, v, current = bal_u, bal_v, balanced
     x_hat = u @ v.T
     clip_applied = False
     if problem.max_entry is not None:

@@ -27,6 +27,7 @@ from lowems.measurement import estimate_rip, make_operator
 from lowems.ratings import synthetic_ratings, table_to_csv
 from lowems.solver import LowemsProblem, solve
 from lowems.weights import baseline_weights
+from make_manifest import recorded_solves
 
 
 def _run(capsys, argv):
@@ -367,6 +368,28 @@ class TestGenerateSolve:
         x_hat = np.loadtxt(out_x, delimiter=",")
         truth = load_bundle(bundle_path).truth
         assert relative_error(x_hat, truth.X_seq[-1]) < 0.1
+
+    @pytest.mark.parametrize("seed", ["3", "4"])
+    def test_ridge_solve_stops_on_tol_within_ten_sweeps(self, capsys, tmp_path, seed):
+        # without the balancing step between sweeps these took 175 and 178
+        bundle = tmp_path / "g.npz"
+        code, _, _ = _run(
+            capsys,
+            ["generate", "--n1", "6", "--n2", "5", "--rank", "1", "--d", "2",
+             "--m0", "50", "--variant", "gaussian", "--out", str(bundle), "--seed", "8"],
+        )
+        assert code == 0
+        stops: list = []
+        with recorded_solves(stops):
+            code, _, _ = _run(
+                capsys,
+                ["solve", "--bundle", str(bundle), "--weights", "equal", "--rank", "1",
+                 "--init", "random", "--gamma", "0.01", "--seed", seed,
+                 "--out-x", str(tmp_path / "x.csv")],
+            )
+        assert code == 0
+        [(iterations, stopped_on_tol)] = stops
+        assert stopped_on_tol and iterations <= 10
 
     def test_explicit_and_alias_weight_specs(self, capsys, bundle_path, tmp_path):
         for spec in ("explicit:0.3,0.7", "last", "last_only"):

@@ -313,6 +313,67 @@ class TestSolve:
             solve(problem, init="random")  # needs rng
 
 
+class TestBalance:
+    """The gauge step that ridge solves take between sweeps."""
+
+    GAMMA = 0.3
+
+    @staticmethod
+    def _pair(case):
+        rng = np.random.default_rng(230)
+        u, v = rng.standard_normal((9, 3)) * 4.0, rng.standard_normal((7, 3)) * 0.1
+        if case == "zero-column":
+            u[:, 1] = 0.0
+        elif case == "dependent":
+            u[:, 2] = 2.0 * u[:, 0]
+        elif case == "zero":
+            u, v = np.zeros_like(u), np.zeros_like(v)
+        return u, v
+
+    @pytest.mark.parametrize("case", ["random", "zero-column", "dependent", "zero"])
+    def test_same_product_least_ridge(self, case):
+        u, v = self._pair(case)
+        bal_u, bal_v = solver_module._balance(u, v)
+        assert np.isfinite(bal_u).all() and np.isfinite(bal_v).all()
+        x = u @ v.T
+        scale = frobenius_norm(x)
+        assert frobenius_norm(bal_u @ bal_v.T - x) <= 1e-12 * scale
+        gram_u, gram_v = bal_u.T @ bal_u, bal_v.T @ bal_v
+        assert frobenius_norm(gram_u - gram_v) <= 1e-12 * frobenius_norm(gram_u)
+        ridge = self.GAMMA * (frobenius_norm(bal_u) ** 2 + frobenius_norm(bal_v) ** 2)
+        nuclear = float(np.linalg.svd(x, compute_uv=False).sum())
+        assert ridge == pytest.approx(2.0 * self.GAMMA * nuclear, rel=1e-12, abs=0.0)
+        assert ridge <= self.GAMMA * (frobenius_norm(u) ** 2 + frobenius_norm(v) ** 2)
+
+    @pytest.mark.parametrize("case, lost", [("zero-column", 1), ("dependent", 1), ("zero", 3)])
+    def test_lost_rank_gives_exactly_zero_columns(self, case, lost):
+        bal_u, bal_v = solver_module._balance(*self._pair(case))
+        assert not bal_u[:, -lost:].any() and not bal_v[:, -lost:].any()
+        assert bal_u[:, : 3 - lost].any(axis=0).all()  # the kept columns are not zero
+
+    def test_gamma_zero_solves_never_balance(self, monkeypatch):
+        def refuse(u, v):
+            raise AssertionError("balanced without a ridge")
+
+        monkeypatch.setattr(solver_module, "_balance", refuse)
+        for variant in ("sampling", "gaussian"):
+            problem, _ = _planted_problem(variant=variant, noise_std=0.1, seed=231)
+            assert solve(problem, max_sweeps=20).iterations > 1
+            ridge = dataclasses.replace(problem, gamma=0.1)
+            with pytest.raises(AssertionError, match="balanced"):
+                solve(ridge, max_sweeps=20)
+
+    def test_ridge_trace_never_increases_and_returns_an_als_iterate(self):
+        problem, _ = _planted_problem(noise_std=0.1, gamma=0.05, seed=232)
+        sol = solve(problem, max_sweeps=500, init="random", rng=RandomStream(4))
+        trace = sol.objective_trace
+        assert sol.converged and len(trace) == 1 + 2 * sol.iterations
+        assert np.all(np.diff(trace) <= 0.0)
+        assert objective(problem, sol.factors) == pytest.approx(trace[-1], rel=1e-12)
+        # the last sweep's V update was kept, not balanced afterwards
+        np.testing.assert_array_equal(sol.factors.V, update_V(problem, sol.factors.U))
+
+
 class TestStopState:
     """``converged``, ``iterations`` and the trace length for each way
     :func:`solve` stops.  The scripted runs replace each half-sweep's misfit
