@@ -25,15 +25,16 @@ misfit, and the update adds the ridge, solves and reshapes.  Sampling gives
 one tiny system per output row; all rows come from one GEMM of dense merged
 weights (two ``n1 * n2`` arrays) held by the builder, so its cost follows
 ``n1 * n2`` rather than the observation count.  Dense sensing gives one
-stacked system in ``n * rank`` unknowns from one pass over the operator.
-Its design rows are one BLAS matmul per drawn piece, run on the thread that
-drew it, into one buffer per live bin that the builder holds
-(``m * max(n1, n2) * rank`` floats), so the misfit is read from them without
-producing the blocks a second time and no half-sweep faults its design in
-again.  The Gram matrix is allocated only after the pass has freed its
-block.  The first half-sweep's misfit function also gives the starting
-objective, so a solve makes one pass per half-sweep, plus one for a spectral
-init.  Replay-mode operators never materialize their sensing stack.
+stacked system in ``n * rank`` unknowns, the least-squares fit of one
+weighted composite operator (the live bins' ``sqrt(w_t) * A_t`` stacked),
+from one pass over the operator.  Its design rows are one BLAS matmul per
+drawn piece, run on the thread that drew it, into one buffer the builder
+holds (``m * max(n1, n2) * rank`` floats for ``m`` live measurements); the
+Gram, right-hand side and misfit are each one product of it, so no block
+is produced twice and no half-sweep faults its design in again.  The first
+half-sweep's misfit function also gives the starting objective, so a solve
+makes one pass per half-sweep, plus one for a spectral init.  Replay-mode
+operators never materialize their sensing stack.
 """
 
 from __future__ import annotations
@@ -240,13 +241,15 @@ def _normal_equations(problem: LowemsProblem) -> Callable:
     weights ``c[i, j] = sum w_t`` and ``b[i, j] = sum w_t * y`` of the live
     bins' observations of entry ``(i, j)``, dense ``(n1, n2)`` arrays summed
     in input order over the operators' ``flat`` positions; for dense sensing,
-    one buffer per live bin with room for either side's design.  Made per
-    solve and not cached: a problem may be solved on two threads at once."""
+    the live bins' ``sqrt(w_t) * y_t`` stacked into one vector ``y`` and one
+    design buffer with room for either side's design.  Made per solve and
+    not cached: a problem may be solved on two threads at once."""
     obs = problem.obs
     live = _live_bins(problem.weights.w, obs.ops, obs.y)
     if obs.variant == "gaussian":
-        width = max(obs.n1, obs.n2) * problem.rank
-        return partial(_sensing_system, live, [np.empty(op.m * width) for _, op, _ in live])
+        y = np.concatenate([np.sqrt(w_t) * y_t for w_t, _, y_t in live])
+        buffer = np.empty(y.size * max(obs.n1, obs.n2) * problem.rank)
+        return partial(_sensing_system, live, buffer, y)
     flat = np.concatenate([op.flat for _, op, _ in live])
     y = np.concatenate([y_t for _, _, y_t in live])
     w = np.concatenate([np.full(op.m, w_t) for w_t, op, _ in live])
@@ -282,51 +285,43 @@ def _sampling_system(
 
 
 def _sensing_system(
-    live: list, designs: list[np.ndarray], fixed: np.ndarray, side: str, n_out: int
+    live: list, buffer: np.ndarray, y: np.ndarray, fixed: np.ndarray, side: str, n_out: int
 ) -> tuple:
     """The stacked normal equations of the dense sensing variant, a batch of
     one ``(k, k)`` system with ``k = n_out * rank``, in one pass over the
-    operator.
+    operator: the least-squares fit to ``y`` of the live bins'
+    ``sqrt(w_t) * A_t`` stacked.
 
     For ``side == "V"`` the i-th design row is ``A_i^T @ U`` flattened (since
-    ``<A_i, U V^T> = <A_i^T U, V>``); for ``side == "U"`` it is ``A_i @ V``.
-    Each piece's rows are one BLAS matmul (the transposed piece is read as a
-    view, never copied), run by the thread that drew the piece.  The design
-    of every live bin is kept, ``m * n_out * rank`` floats each, in its
-    buffer of ``designs``, to accumulate the normal equations and then to
-    give the candidate's misfit from its explicit residual ``D_t x - y_t``.
-    The Gram matrix is allocated only after the pass has freed its block.
+    ``<A_i, U V^T> = <A_i^T U, V>``); for ``side == "U"`` it is ``A_i @ V``;
+    bin ``t``'s rows use ``sqrt(w_t) * fixed``.  Each piece's rows are one
+    BLAS matmul (the transposed piece is read as a view, never copied), run
+    by the thread that drew the piece, into the bin's rows of ``buffer``.
+    The design ``D`` (``y.size * k`` floats) gives the Gram ``D^T D``, the
+    right-hand side ``D^T y`` and the candidate's misfit from its explicit
+    residual ``D x - y``.  The Gram matrix is allocated only after the pass
+    has freed its last block.
     """
     k = n_out * fixed.shape[1]
-    gram, rhs, kept = None, np.zeros(k), []
-    for (w_t, op, y_t), buffer in zip(live, designs):
-        design = buffer[: op.m * k].reshape(op.m, n_out, -1)
+    design = buffer[: y.size * k].reshape(y.size, n_out, -1)
+    offset = 0
+    for w_t, op, _ in live:
+        bin_rows = design[offset : offset + op.m]
+        offset += op.m
 
-        def rows(start: int, piece: np.ndarray, design=design) -> None:
+        def rows(start: int, piece: np.ndarray, out=bin_rows, f=np.sqrt(w_t) * fixed) -> None:
             a = piece.transpose(0, 2, 1) if side == "V" else piece
-            np.matmul(a, fixed, out=design[start : start + piece.shape[0]])
+            np.matmul(a, f, out=out[start : start + piece.shape[0]])
 
         for _, block in op.iter_blocks(rows):
             del block  # a replayed block is freed before the next one is drawn
-        design = design.reshape(op.m, k)
-        product = design.T @ design
-        product *= w_t  # in place: at most two (k, k) arrays are ever alive
-        if gram is None:
-            gram = product
-        else:
-            gram += product
-        del product
-        rhs += w_t * (design.T @ y_t)
-        kept.append((w_t, design, y_t))
+    design = design.reshape(y.size, k)
 
     def misfit(x: np.ndarray) -> float:
-        total = 0.0
-        for w_t, design, y_t in kept:
-            res = design @ x.ravel() - y_t
-            total += w_t * float(res @ res)
-        return 0.5 * total
+        res = design @ x.ravel() - y
+        return 0.5 * float(res @ res)
 
-    return gram[None], rhs[None], misfit
+    return (design.T @ design)[None], (design.T @ y)[None], misfit
 
 
 def _solve_systems(gram: np.ndarray, rhs: np.ndarray, kind: str) -> np.ndarray:
