@@ -357,9 +357,12 @@ def _cmd_ratings_cv(args) -> int:
 
 def _cmd_ratings_eval(args) -> int:
     binned, split, cfg, root = _load_split(args, 1)
-    result = ratings.evaluate_test(
-        binned, split, args.kappa, cfg, root.child(2), restarts=args.restarts
-    )
+    try:
+        result = ratings.evaluate_test(
+            binned, split, args.kappa, cfg, root.child(2), restarts=args.restarts
+        )
+    except ratings.EmptyResultError as exc:
+        raise UsageError(f"--test-frac {args.test_frac}: {exc}") from None
     result.to_csv(args.out)
     print(
         f"test_rmse mean {FLOAT_FORMAT % np.mean(result.rmse)} "

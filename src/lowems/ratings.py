@@ -23,7 +23,7 @@ from .core import COUNT, RandomStream, Range, write_csv
 from .dynamics import DynamicGroundTruth, generate_truth
 from .experiments import _aggregate
 from .measurement import ObservationSet, SamplingOperator
-from .solver import DivergenceError, LowemsProblem, Solution, solve
+from .solver import DivergenceError, LowemsProblem, solve
 from .weights import optimal_weights
 
 HEADER = ("user_id", "item_id", "rating", "timestamp")
@@ -31,7 +31,7 @@ TEST_FRACTIONS = Range(lambda f: 0 <= f < 1, "in [0, 1)")
 
 
 class EmptyResultError(ValueError):
-    """A filtering step removed every rating."""
+    """A filtering or splitting step left no ratings."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,9 +217,9 @@ class EvalSplit:
 
     ``test_rows`` are the latest ``test_frac`` of all ratings.  Each fold is
     a ``(train_rows, val_rows)`` pair; validation rows partition the last
-    bin's non-test ratings, while every earlier bin is in all training sets
-    (earlier bins exist to inform the temporal weighting, not to be
-    predicted).
+    bin's non-test ratings, and a fold trains on every other non-test row,
+    so every earlier bin is in all training sets (earlier bins exist to
+    inform the temporal weighting, not to be predicted).
     """
 
     test_rows: np.ndarray
@@ -236,31 +236,21 @@ def make_split(
         raise ValueError(f"test_frac must be {TEST_FRACTIONS}")
     if folds not in COUNT:
         raise ValueError(f"folds must be {COUNT}")
-    table = binned.table
-    n = table.n
+    n = binned.table.n
     n_test = int(round(test_frac * n))
-    order = np.lexsort((np.arange(n), table.timestamps))
-    test = np.sort(order[n - n_test :]) if n_test else np.array([], dtype=np.int64)
-    in_test = np.zeros(n, dtype=bool)
-    in_test[test] = True
+    order = np.lexsort((np.arange(n), binned.table.timestamps))
+    test, rest = np.sort(order[n - n_test :]), np.sort(order[: n - n_test])
 
-    last_bin = binned.bins[binned.d - 1]
-    pool = last_bin[~in_test[last_bin]]
+    pool = rest[binned.bin_of[rest] == binned.d - 1]
     if pool.size < folds:
         raise ValueError(
             f"last bin has {pool.size} non-test ratings, need at least {folds}"
         )
-    earlier = np.flatnonzero(~in_test & (binned.bin_of < binned.d - 1))
-
     perm = rng.generator().permutation(pool)
-    fold_list = []
-    for part in np.array_split(perm, folds):
-        val = np.sort(part)
-        in_val = np.zeros(n, dtype=bool)
-        in_val[val] = True
-        train = np.sort(np.concatenate([earlier, pool[~in_val[pool]]]))
-        fold_list.append((train.astype(np.int64), val.astype(np.int64)))
-    return EvalSplit(test.astype(np.int64), tuple(fold_list))
+    vals = [np.sort(part) for part in np.array_split(perm, folds)]
+    # rows are unique, and a difference that assumes so keeps rest's sorted order
+    trains = [np.setdiff1d(rest, val, assume_unique=True) for val in vals]
+    return EvalSplit(test, tuple(zip(trains, vals)))
 
 
 @dataclass(frozen=True)
@@ -274,20 +264,16 @@ class FitConfig:
     tol: float = 1e-8
 
 
-def _fit_rows(
-    binned: BinnedRatings,
-    rows: np.ndarray,
-    weights,
-    cfg: FitConfig,
-    rng: RandomStream | None,
-) -> Solution:
-    """Fit the weighted model on a subset of table rows, from a random init, unclipped."""
+def _training_set(
+    binned: BinnedRatings, train_rows: np.ndarray, eval_rows: np.ndarray
+) -> tuple[ObservationSet, np.ndarray]:
+    """The observations of ``train_rows``, one sampling operator per time
+    bin, and the ``eval_rows`` whose item and user both have a training
+    rating."""
     table = binned.table
-    selected = np.zeros(table.n, dtype=bool)
-    selected[rows] = True
     ops, ys = [], []
-    for t in range(binned.d):
-        members = binned.bins[t][selected[binned.bins[t]]]
+    for t, members in enumerate(binned.bins):
+        members = members[np.isin(members, train_rows)]
         if members.size == 0:
             raise ValueError(f"time bin {t} has no training ratings")
         ops.append(
@@ -299,41 +285,30 @@ def _fit_rows(
             )
         )
         ys.append(table.ratings[members])
-    obs = ObservationSet(tuple(ops), tuple(ys), noise_std=0.0)
-    problem = LowemsProblem(obs, weights, cfg.rank, gamma=cfg.gamma)
-    return solve(
-        problem,
-        max_sweeps=cfg.max_sweeps,
-        tol=cfg.tol,
-        init="random",
-        rng=rng,
+    items, users = table.item_rows, table.user_cols
+    seen = np.isin(items[eval_rows], items[train_rows]) & np.isin(
+        users[eval_rows], users[train_rows]
     )
+    return ObservationSet(tuple(ops), tuple(ys), noise_std=0.0), eval_rows[seen]
 
 
-def _score_rows(
+def _fit_rmse(
     binned: BinnedRatings,
-    solution: Solution,
-    train_rows: np.ndarray,
-    eval_rows: np.ndarray,
-) -> tuple[float, int, int]:
-    """RMSE of the fit on ``eval_rows``, excluding records whose user or
-    item has no training rating.  Returns (rmse, used, excluded)."""
+    obs: ObservationSet,
+    scored: np.ndarray,
+    weights,
+    cfg: FitConfig,
+    rng: RandomStream,
+) -> float:
+    """Fit the weighted model to ``obs`` from a random init, unclipped, and
+    return its RMSE on the ``scored`` table rows (NaN when there are none)."""
+    problem = LowemsProblem(obs, weights, cfg.rank, gamma=cfg.gamma)
+    sol = solve(problem, max_sweeps=cfg.max_sweeps, tol=cfg.tol, init="random", rng=rng)
+    if scored.size == 0:
+        return math.nan
     table = binned.table
-    seen_items = np.zeros(table.n_items, dtype=bool)
-    seen_users = np.zeros(table.n_users, dtype=bool)
-    seen_items[table.item_rows[train_rows]] = True
-    seen_users[table.user_cols[train_rows]] = True
-    rows_ok = (
-        seen_items[table.item_rows[eval_rows]]
-        & seen_users[table.user_cols[eval_rows]]
-    )
-    used = eval_rows[rows_ok]
-    excluded = int(eval_rows.size - used.size)
-    if used.size == 0:
-        return math.nan, 0, excluded
-    pred = solution.X_hat[table.item_rows[used], table.user_cols[used]]
-    err = pred - table.ratings[used]
-    return float(np.sqrt(np.mean(err**2))), int(used.size), excluded
+    pred = sol.X_hat[table.item_rows[scored], table.user_cols[scored]]
+    return float(np.sqrt(np.mean((pred - table.ratings[scored]) ** 2)))
 
 
 @dataclass(frozen=True)
@@ -365,8 +340,10 @@ def cross_validate_kappa(
 ) -> CrossValidation:
     """Pick the noise-ratio parameter by fold-averaged validation RMSE.
 
-    Random-init streams are derived per fold and shared across the grid, so
-    the comparison between kappa values is not confounded by init noise.
+    Each fold's training set is built once and shared by the grid, one fold
+    at a time.  Random-init streams are derived per fold and shared across
+    the grid, so the comparison between kappa values is not confounded by
+    init noise.
     Folds whose fit diverges are skipped with a warning; a kappa with no
     surviving folds is excluded from selection.  Exact RMSE ties resolve to
     the smaller kappa.
@@ -374,14 +351,13 @@ def cross_validate_kappa(
     kappa_grid = list(kappa_grid)
     if not kappa_grid:
         raise ValueError("kappa_grid must be nonempty")
-    d = binned.d
-    rows = []
-    for kappa in kappa_grid:
-        weights = optimal_weights(d, kappa)
-        fold_scores = []
-        for f, (train, val) in enumerate(split.folds):
+    weights = [optimal_weights(binned.d, kappa) for kappa in kappa_grid]
+    scores: list[list[float]] = [[] for _ in kappa_grid]
+    for f, (train, val) in enumerate(split.folds):
+        obs, scored = _training_set(binned, train, val)
+        for kappa, w, fold_scores in zip(kappa_grid, weights, scores):
             try:
-                sol = _fit_rows(binned, train, weights, cfg, rng.child(f))
+                rmse = _fit_rmse(binned, obs, scored, w, cfg, rng.child(f))
             except DivergenceError:
                 warnings.warn(
                     f"fold {f} diverged at kappa={kappa}; skipping",
@@ -389,9 +365,11 @@ def cross_validate_kappa(
                     stacklevel=2,
                 )
                 continue
-            rmse, used, _ = _score_rows(binned, sol, train, val)
-            if used:
+            if scored.size:
                 fold_scores.append(rmse)
+        del obs  # one fold's observations at a time
+    rows = []
+    for kappa, fold_scores in zip(kappa_grid, scores):
         mean, std, n = _aggregate(fold_scores)
         if n == 0:
             warnings.warn(
@@ -428,21 +406,19 @@ def evaluate_test(
     restarts: int = 10,
 ) -> TestEvaluation:
     """Refit on all non-test data with ``restarts`` random initializations
-    and score each fit on the chronological test set."""
+    and score each fit on the chronological test set.  The training set is
+    built once; a split with no test ratings is refused before any fit."""
     if restarts not in COUNT:
         raise ValueError(f"restarts must be {COUNT}")
-    table = binned.table
-    in_test = np.zeros(table.n, dtype=bool)
-    in_test[split.test_rows] = True
-    train = np.flatnonzero(~in_test)
+    test = split.test_rows
+    if test.size == 0:
+        raise EmptyResultError("the test split holds no ratings")
+    train = np.setdiff1d(np.arange(binned.table.n), test, assume_unique=True)
+    obs, scored = _training_set(binned, train, test)
     weights = optimal_weights(binned.d, kappa)
-    scores = []
-    used = excluded = 0
-    for i in range(restarts):
-        sol = _fit_rows(binned, train, weights, cfg, rng.child(i))
-        rmse, used, excluded = _score_rows(binned, sol, train, split.test_rows)
-        scores.append(rmse)
-    return TestEvaluation(np.asarray(scores), used, excluded)
+    rmse = [_fit_rmse(binned, obs, scored, weights, cfg, rng.child(i))
+            for i in range(restarts)]
+    return TestEvaluation(np.asarray(rmse), scored.size, test.size - scored.size)
 
 
 def synthetic_ratings(

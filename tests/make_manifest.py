@@ -1,11 +1,14 @@
 """The reproducibility manifest: every CLI command run once at reduced size,
-and the values of every primary output it writes.
+and the values and SHA-256 of every primary output it writes.
 
 ``tests/test_manifest.py`` runs the same recipes and compares each output
-with ``tests/data/manifest.json`` at ``RTOL``.  A change that moves an
-output regenerates the manifest, so its diff lists the moved outputs::
+with ``tests/data/manifest.json`` at two levels: its values at ``RTOL``
+everywhere, and its bytes (SHA-256 of each output file and of each
+recipe's stdout) exactly, but only on the platform the manifest records.
+A change that moves an output regenerates the manifest, so its diff lists
+the moved outputs::
 
-    PYTHONPATH=src python tests/make_manifest.py
+    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src python tests/make_manifest.py
 
 The sizes are chosen so that every solve stops on its ``tol`` test well
 before ``max_sweeps``: a capped solve drifts, and where it ends depends on
@@ -17,9 +20,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
+import platform
 import re
 import sys
 import tempfile
@@ -88,6 +93,28 @@ RECIPES = [
      ["eval.csv"]),
 ]
 
+# Output bits depend on the BLAS thread count.  BLAS reads these when numpy
+# loads it, so they are read once, on import: a later change to the
+# environment (perfbench/run.py pins them when a test session imports it)
+# does not reach the running BLAS.
+_THREAD_VARS = {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+
+
+def fingerprint() -> dict:
+    """The platform whose output bytes the manifest's hashes record."""
+    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    cpu = platform.processor()
+    with contextlib.suppress(OSError), open("/proc/cpuinfo") as fh:
+        cpu = next((l.split(":", 1)[1].strip() for l in fh if l.startswith("model name")), cpu)
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "cpu": cpu,
+        "cpu_count": os.cpu_count(),
+        **_THREAD_VARS,
+    }
+
+
 _NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|nan|inf)(?!\w)")
 
 
@@ -149,12 +176,12 @@ def write_ratings_input(path: Path) -> None:
     ratings.table_to_csv(table, path)
 
 
-def run_recipes(workdir: Path) -> tuple[dict, list]:
+def run_recipes(workdir: Path) -> tuple[dict, dict, list]:
     """Run every recipe in ``workdir`` and read its outputs.  Returns the
-    manifest entries and one ``(recipe, iterations, stopped_on_tol)`` per
-    solve."""
+    manifest's values and SHA-256s, by output, and one ``(recipe,
+    iterations, stopped_on_tol)`` per solve."""
     write_ratings_input(workdir / "raw.csv")
-    entries, solves = {}, []
+    entries, hashes, solves = {}, {}, []
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
@@ -167,24 +194,34 @@ def run_recipes(workdir: Path) -> tuple[dict, list]:
             if code != 0:
                 raise RuntimeError(f"{name} exited {code}: {stderr.getvalue()}")
             entries[f"{name}: stdout"] = read_stdout(stdout.getvalue())
+            hashes[f"{name}: stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
             for out in outputs:
                 entries[f"{name}: {out}"] = read_output(workdir / out)
+                data = (workdir / out).read_bytes()
+                hashes[f"{name}: {out}"] = hashlib.sha256(data).hexdigest()
             solves += [(name, *s) for s in stops]
     finally:
         os.chdir(cwd)
-    return entries, solves
+    return entries, hashes, solves
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        entries, solves = run_recipes(Path(tmp))
+        entries, hashes, solves = run_recipes(Path(tmp))
     capped = [s for s in solves if not s[2]]
     if capped:
         print(f"solves that did not stop on tol: {capped}", file=sys.stderr)
         return 1
     MANIFEST.parent.mkdir(exist_ok=True)
-    lines = [f" {json.dumps(k)}: {json.dumps(v)}" for k, v in entries.items()]
-    MANIFEST.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    sections = {"platform": fingerprint(), "sha256": hashes, "values": entries}
+    # one line per entry, so the diff of a regenerated manifest names what moved
+    body = ",\n".join(
+        f" {json.dumps(name)}: {{\n"
+        + ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in section.items())
+        + "\n }"
+        for name, section in sections.items()
+    )
+    MANIFEST.write_text("{\n" + body + "\n}\n")
     most = max(s[1] for s in solves)
     print(f"wrote {MANIFEST}: {len(entries)} outputs, {len(solves)} solves, "
           f"at most {most} sweeps each")

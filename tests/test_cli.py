@@ -535,6 +535,17 @@ class TestRatingsPipeline:
         assert len(lines) == 3
         assert np.isfinite(float(lines[1].split(",")[1]))
 
+    def test_cv_accepts_an_empty_test_split(self, capsys, ratings_csv, tmp_path):
+        out = tmp_path / "cv.csv"
+        code, _, _ = _run(
+            capsys,
+            ["ratings", "cv", "--in", str(ratings_csv), "--d", "2", "--rank", "2",
+             "--kappa-grid", "1", "--folds", "2", "--test-frac", "0",
+             "--out", str(out), "--seed", "5"],
+        )
+        assert code == 0
+        assert len(_csv_rows(out)) == 2
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m_version(self):
@@ -544,6 +555,19 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert "0.1.0" in proc.stdout
+
+    def test_numpy_is_the_only_runtime_dependency(self):
+        # the test extras (scipy, pytest) are installed here, so only a fresh
+        # interpreter shows what the package itself imports
+        script = (
+            "import sys, lowems, lowems.cli\n"
+            "code = lowems.cli.main(['rip-probe', '--n1', '4', '--n2', '4', '--m0', '20',"
+            " '--rank', '1', '--trials', '2', '--seed', '1'])\n"
+            "print(code, sorted({'scipy', 'pytest'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 _REQUIRED_ONLY = {
@@ -745,6 +769,10 @@ class TestNonFiniteOptions:
             (["ratings", "cv", "--in", "RATINGS", "--d", "2", "--rank", "2",
               "--kappa-grid", "", "--out", "cv.csv", "--seed", "1"],
              "kappa_grid must be nonempty"),
+            # an empty test split, refused before any fit
+            (["ratings", "eval", "--in", "RATINGS", "--d", "2", "--rank", "2",
+              "--kappa", "1", "--test-frac", "0", "--out", "e.csv", "--seed", "1"],
+             "--test-frac 0.0: the test split holds no ratings"),
         ],
         ids=["generate", "sweep-error", "ratings-eval", "max-entry", "p-grid-zero",
              "p-grid-above-one", "test-frac", "seed",
@@ -752,7 +780,7 @@ class TestNonFiniteOptions:
              "rank-above-dimensions", "generate-rank", "rip-probe-rank", "solve-rank",
              "ratings-cv-rank", "ratings-eval-rank", "unknown-strategy", "repeated-strategy",
              "p-grid-descending",
-             "empty-drift-grid", "empty-kappa-grid"],
+             "empty-drift-grid", "empty-kappa-grid", "empty-test-split"],
     )
     def test_negative_value_is_usage_error(self, capsys, tmp_path, monkeypatch, bundle_path,
                                            ratings_csv, argv, message):

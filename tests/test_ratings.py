@@ -1,9 +1,12 @@
 import csv
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from lowems import ratings
 from lowems.core import RandomStream
 from lowems.ratings import (
     EmptyResultError,
@@ -368,6 +371,22 @@ class TestEvaluateTest:
         assert ev.n_used == 0
         assert math.isnan(float(ev.rmse[0]))
 
+    @pytest.mark.parametrize(
+        "n, test_frac", [(40, 0.0), (4, 0.1)], ids=["test-frac-zero", "rounds-to-zero"]
+    )
+    def test_empty_test_split_refused_before_any_fit(
+        self, tmp_path, monkeypatch, n, test_frac
+    ):
+        records = [(k % 3, k % 4, float(k % 5), k) for k in range(n)]
+        binned = bin_by_time(ingest(_write_csv(tmp_path / "r.csv", records)), 2)
+        split = make_split(binned, RandomStream(107), test_frac=test_frac, folds=1)
+        assert split.test_rows.size == 0
+        fits = []
+        monkeypatch.setattr(ratings, "solve", lambda *a, **k: fits.append(a))
+        with pytest.raises(EmptyResultError, match="test split holds no ratings"):
+            evaluate_test(binned, split, 1.0, FitConfig(rank=1), RandomStream(108))
+        assert fits == []
+
     def test_csv_output(self, tmp_path):
         table, _ = synthetic_ratings(
             12, 14, 1, 1, fill=0.6, noise_std=0.1, drift_std=0.0,
@@ -386,6 +405,53 @@ class TestEvaluateTest:
         assert rows[0] == ["restart", "test_rmse"]
         assert len(rows) == 3
         assert rows[1][0] == "0" and rows[2][0] == "1"
+
+
+class TestTrainingSets:
+    """Each fold's training set is built once and shared by every kappa, and
+    ``evaluate_test`` builds one for all its restarts."""
+
+    @pytest.fixture
+    def planted(self):
+        table, _ = synthetic_ratings(
+            15, 18, 2, 2, fill=0.5, noise_std=0.1, drift_std=0.1,
+            rng=RandomStream(103),
+        )
+        binned = bin_by_time(table, 2)
+        return binned, make_split(binned, RandomStream(104), folds=3)
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Weak references to every observation set the pipeline builds; each
+        build first checks that no earlier one is still alive."""
+        refs, build = [], ratings.ObservationSet
+
+        def counting(*args, **kwargs):
+            gc.collect()
+            assert all(ref() is None for ref in refs), "an earlier set is still alive"
+            obs = build(*args, **kwargs)
+            refs.append(weakref.ref(obs))
+            return obs
+
+        monkeypatch.setattr(ratings, "ObservationSet", counting)
+        return refs
+
+    @pytest.mark.parametrize("grid", [[1.0], [0.0, 0.1, 1.0, 10.0]])
+    def test_cv_builds_one_set_per_fold(self, planted, builds, grid):
+        binned, split = planted
+        cfg = FitConfig(rank=2, gamma=0.5, max_sweeps=40, tol=1e-6)
+        cv = cross_validate_kappa(binned, split, grid, cfg, RandomStream(105))
+        assert len(builds) == len(split.folds) == 3
+        assert [row.kappa for row in cv.rows] == grid
+
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_eval_builds_one_set(self, planted, builds, restarts):
+        binned, split = planted
+        cfg = FitConfig(rank=2, gamma=0.5, max_sweeps=40, tol=1e-6)
+        ev = evaluate_test(binned, split, 1.0, cfg, RandomStream(106), restarts=restarts)
+        assert len(builds) == 1
+        assert ev.rmse.shape == (restarts,)
+        assert ev.n_used + ev.n_excluded == split.test_rows.size
 
 
 class TestSyntheticRatings:
