@@ -210,7 +210,7 @@ def _cmd_generate(args) -> int:
     if args.dump_x:
         for t, x in enumerate(truth.X_seq):
             np.savetxt(f"{args.dump_x}_{t}.csv", x, delimiter=",", fmt=FLOAT_FORMAT)
-    print(f"wrote bundle {args.out} (d={obs.d}, m0={obs.m0}, {obs.variant})")
+    print(f"wrote bundle {args.out} (d={obs.d}, m0={args.m0}, {obs.variant})")
     return 0
 
 
@@ -331,21 +331,21 @@ def _cmd_ratings_ingest(args) -> int:
     return 0
 
 
-def _load_split(args, folds: int) -> tuple:
-    """The binned ratings, their split with ``folds`` validation folds, the
-    fit settings and the command's root stream (its child 0 draws the split)."""
+def _load_binned(args) -> tuple:
+    """The binned ratings, the fit settings and the command's root stream:
+    its child 0 draws the CV folds, child 1 the CV fits, child 2 the eval's."""
     table = ratings.ingest(args.infile)
     _check_rank(args, table.n_items, table.n_users)
     binned = ratings.bin_by_time(table, args.d)
-    root = RandomStream(args.seed)
-    split = ratings.make_split(binned, root.child(0), test_frac=args.test_frac, folds=folds)
-    return binned, split, ratings.FitConfig(rank=args.rank, gamma=args.gamma), root
+    cfg = ratings.FitConfig(rank=args.rank, gamma=args.gamma)
+    return binned, cfg, RandomStream(args.seed)
 
 
 def _cmd_ratings_cv(args) -> int:
     if not args.kappa_grid:  # refused before the table is read
         raise UsageError("kappa_grid must be nonempty")
-    binned, split, cfg, root = _load_split(args, args.folds)
+    binned, cfg, root = _load_binned(args)
+    split = ratings.make_split(binned, root.child(0), args.test_frac, args.folds)
     result = ratings.cross_validate_kappa(
         binned, split, args.kappa_grid, cfg, root.child(1)
     )
@@ -356,10 +356,11 @@ def _cmd_ratings_cv(args) -> int:
 
 
 def _cmd_ratings_eval(args) -> int:
-    binned, split, cfg, root = _load_split(args, 1)
+    binned, cfg, root = _load_binned(args)
+    holdout = ratings.chronological_split(binned.table, args.test_frac)
     try:
         result = ratings.evaluate_test(
-            binned, split, args.kappa, cfg, root.child(2), restarts=args.restarts
+            binned, holdout, args.kappa, cfg, root.child(2), restarts=args.restarts
         )
     except ratings.EmptyResultError as exc:
         raise UsageError(f"--test-frac {args.test_frac}: {exc}") from None

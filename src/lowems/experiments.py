@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,7 +118,6 @@ class SweepRow:
 
     drift_std: float
     strategy: str
-    metric: str
     value: float
     stddev: float
     trials: int
@@ -147,7 +145,7 @@ class SweepResult:
         if self.mode == "error":
             header = ["sigma2", "strategy", "metric", "value", "stddev", "trials"]
             rows = [
-                [r.drift_std, r.strategy, r.metric, r.value, r.stddev, r.trials]
+                [r.drift_std, r.strategy, "mean_rel_error", r.value, r.stddev, r.trials]
                 for r in self.rows
             ]
         else:
@@ -190,12 +188,14 @@ def _cell_data(cfg: SweepConfig, drift_std: float, m0: int, stream: RandomStream
     return truth, obs
 
 
-def _solve_cell(cfg: SweepConfig, obs, truth, drift_std: float, stream: RandomStream):
-    """Fit every strategy on one dataset; returns strategy -> error (or None
-    on divergence) plus the objective trace of each completed solve."""
+def _solve_cell(
+    cfg: SweepConfig, strategies, obs, truth, drift_std: float, stream: RandomStream
+):
+    """Fit each of ``strategies`` on one dataset; returns strategy -> error (or
+    None on divergence) plus the objective trace of each completed solve."""
     errors: dict[str, float | None] = {}
     traces: list[np.ndarray] = []
-    for strategy in cfg.strategies:
+    for strategy in strategies:
         w = strategy_weights(strategy, cfg.d, cfg.noise_std, drift_std)
         problem = LowemsProblem(obs, w, cfg.rank, gamma=cfg.gamma)
         try:
@@ -219,11 +219,13 @@ def _solve_cell(cfg: SweepConfig, obs, truth, drift_std: float, stream: RandomSt
     return errors, traces
 
 
-def _aggregate(values: list[float]) -> tuple[float, float, int]:
-    n = len(values)
+def _aggregate(values: list[float | None]) -> tuple[float, float, int]:
+    """Mean, sample std and count of ``values``, leaving out the ``None`` of a
+    diverged trial."""
+    arr = np.asarray([v for v in values if v is not None])
+    n = arr.size
     if n == 0:
         return math.nan, math.nan, 0
-    arr = np.asarray(values)
     mean = float(arr.mean())
     std = float(arr.std(ddof=1)) if n > 1 else 0.0
     return mean, std, n
@@ -244,7 +246,7 @@ def run_error_sweep(cfg: SweepConfig) -> SweepResult:
         drift = cfg.drift_grid[si]
         stream = root.child(si).child(ti)
         truth, obs = _cell_data(cfg, drift, cfg.m0, stream)
-        return _solve_cell(cfg, obs, truth, drift, stream)
+        return _solve_cell(cfg, cfg.strategies, obs, truth, drift, stream)
 
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         outcomes = list(pool.map(work, cells))
@@ -254,15 +256,8 @@ def run_error_sweep(cfg: SweepConfig) -> SweepResult:
     rows = []
     for si, drift in enumerate(cfg.drift_grid):
         for strategy in cfg.strategies:
-            values = [
-                per_cell[(si, ti)][strategy]
-                for ti in range(cfg.trials)
-                if per_cell[(si, ti)][strategy] is not None
-            ]
-            mean, std, n = _aggregate(values)
-            rows.append(
-                SweepRow(float(drift), strategy, "mean_rel_error", mean, std, n)
-            )
+            values = [per_cell[(si, ti)][strategy] for ti in range(cfg.trials)]
+            rows.append(SweepRow(float(drift), strategy, *_aggregate(values)))
     return SweepResult("error", rows, traces)
 
 
@@ -287,7 +282,6 @@ def run_sample_sweep(cfg: SweepConfig) -> SweepResult:
     def lane_work(lane):
         si, strategy = lane
         drift = cfg.drift_grid[si]
-        lane_cfg = replace(cfg, strategies=(strategy,))
         traces: list[np.ndarray] = []
         for pi, p in enumerate(p_grid):
             m0 = max(1, round(p * cfg.n1 * cfg.n2))
@@ -296,11 +290,10 @@ def run_sample_sweep(cfg: SweepConfig) -> SweepResult:
                 stream = root.child(si).child(pi).child(ti)
                 truth, obs = _cell_data(cfg, drift, m0, stream)
                 errors, cell_traces = _solve_cell(
-                    lane_cfg, obs, truth, drift, stream
+                    cfg, (strategy,), obs, truth, drift, stream
                 )
                 traces.extend(cell_traces)
-                if errors[strategy] is not None:
-                    values.append(errors[strategy])
+                values.append(errors[strategy])
             mean, _, n = _aggregate(values)
             if n > 0 and mean <= cfg.success_threshold:
                 return MinSampleRow(float(drift), strategy, float(p)), traces

@@ -255,8 +255,7 @@ class ObservationSet:
 
     All operators share dimensions and variant; each ``y_t`` must be finite
     and is stored as a read-only copy.  Bin sizes may differ (the ratings
-    pipeline produces uneven bins); ``observe`` always yields a common count,
-    exposed as ``m0``.
+    pipeline produces uneven bins); ``observe`` always yields a common count.
     """
 
     ops: tuple[LinearOperator, ...]
@@ -300,12 +299,6 @@ class ObservationSet:
     @property
     def variant(self) -> str:
         return self.ops[0].variant
-
-    @property
-    def m0(self) -> int | None:
-        """Common per-bin measurement count, or None when bins differ."""
-        sizes = {op.m for op in self.ops}
-        return sizes.pop() if len(sizes) == 1 else None
 
 
 def observe(

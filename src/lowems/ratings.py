@@ -28,6 +28,7 @@ from .weights import optimal_weights
 
 HEADER = ("user_id", "item_id", "rating", "timestamp")
 TEST_FRACTIONS = Range(lambda f: 0 <= f < 1, "in [0, 1)")
+BIN_WIDTH = 10_000  # timestamp ticks per planted window of synthetic_ratings
 
 
 class EmptyResultError(ValueError):
@@ -100,7 +101,7 @@ def ingest(path) -> RatingsTable:
     and on an empty file or wrong header.
     """
     users, items, values, stamps = [], [], [], []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -153,25 +154,19 @@ def truncate(
     """
     if min(min_user_ratings, min_item_ratings) not in COUNT:
         raise ValueError(f"thresholds must be {COUNT}")
+    cols, rows = table.user_cols, table.item_rows
     keep = np.ones(table.n, dtype=bool)
-    while True:
-        users = table.user_ids[keep]
-        items = table.item_ids[keep]
-        if users.size == 0:
-            raise EmptyResultError("truncation removed all ratings")
-        _, user_inv, user_counts = np.unique(
-            users, return_inverse=True, return_counts=True
+    while keep.any():
+        user_counts = np.bincount(cols[keep], minlength=table.n_users)
+        item_counts = np.bincount(rows[keep], minlength=table.n_items)
+        drop = keep & (
+            (user_counts[cols] < min_user_ratings) | (item_counts[rows] < min_item_ratings)
         )
-        _, item_inv, item_counts = np.unique(
-            items, return_inverse=True, return_counts=True
-        )
-        ok = (user_counts[user_inv] >= min_user_ratings) & (
-            item_counts[item_inv] >= min_item_ratings
-        )
-        if ok.all():
+        if not drop.any():
             break
-        idx = np.flatnonzero(keep)
-        keep[idx[~ok]] = False
+        keep &= ~drop
+    else:
+        raise EmptyResultError("truncation removed all ratings")
     return _build_table(
         table.user_ids[keep],
         table.item_ids[keep],
@@ -184,16 +179,15 @@ def truncate(
 class BinnedRatings:
     """A table cut into ``d`` equal-width time bins over
     ``[min timestamp, max timestamp]``; the last bin is closed on the right.
-    ``bins[t]`` holds the row indices of bin ``t`` in table order."""
+    ``bin_of[i]`` is the bin of table row ``i``."""
 
     table: RatingsTable
     edges: np.ndarray
     bin_of: np.ndarray = field(repr=False)
-    bins: tuple[np.ndarray, ...] = field(repr=False)
 
     @property
     def d(self) -> int:
-        return len(self.bins)
+        return self.edges.size - 1
 
 
 def bin_by_time(table: RatingsTable, d: int) -> BinnedRatings:
@@ -207,15 +201,14 @@ def bin_by_time(table: RatingsTable, d: int) -> BinnedRatings:
         bin_of = np.full(table.n, d - 1, dtype=np.int64)
     else:
         bin_of = np.clip(np.searchsorted(edges, ts, side="right") - 1, 0, d - 1)
-    bins = tuple(np.flatnonzero(bin_of == t) for t in range(d))
-    return BinnedRatings(table, edges, bin_of.astype(np.int64), bins)
+    return BinnedRatings(table, edges, bin_of.astype(np.int64))
 
 
 @dataclass(frozen=True, eq=False)
 class EvalSplit:
     """Chronological test split plus fold structure for cross-validation.
 
-    ``test_rows`` are the latest ``test_frac`` of all ratings.  Each fold is
+    ``test_rows`` are those of :func:`chronological_split`.  Each fold is
     a ``(train_rows, val_rows)`` pair; validation rows partition the last
     bin's non-test ratings, and a fold trains on every other non-test row,
     so every earlier bin is in all training sets (earlier bins exist to
@@ -226,21 +219,29 @@ class EvalSplit:
     folds: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
+def chronological_split(
+    table: RatingsTable, test_frac: float = 0.10
+) -> tuple[np.ndarray, np.ndarray]:
+    """The test rows, the latest ``round(test_frac * n)`` ratings (equal
+    timestamps ordered by table row), and the training rows, all the others.
+    Both are ascending."""
+    if test_frac not in TEST_FRACTIONS:
+        raise ValueError(f"test_frac must be {TEST_FRACTIONS}")
+    n = table.n
+    n_test = int(round(test_frac * n))
+    order = np.lexsort((np.arange(n), table.timestamps))
+    return np.sort(order[n - n_test :]), np.sort(order[: n - n_test])
+
+
 def make_split(
     binned: BinnedRatings,
     rng: RandomStream,
     test_frac: float = 0.10,
     folds: int = 5,
 ) -> EvalSplit:
-    if test_frac not in TEST_FRACTIONS:
-        raise ValueError(f"test_frac must be {TEST_FRACTIONS}")
     if folds not in COUNT:
         raise ValueError(f"folds must be {COUNT}")
-    n = binned.table.n
-    n_test = int(round(test_frac * n))
-    order = np.lexsort((np.arange(n), binned.table.timestamps))
-    test, rest = np.sort(order[n - n_test :]), np.sort(order[: n - n_test])
-
+    test, rest = chronological_split(binned.table, test_frac)
     pool = rest[binned.bin_of[rest] == binned.d - 1]
     if pool.size < folds:
         raise ValueError(
@@ -269,11 +270,13 @@ def _training_set(
 ) -> tuple[ObservationSet, np.ndarray]:
     """The observations of ``train_rows``, one sampling operator per time
     bin, and the ``eval_rows`` whose item and user both have a training
-    rating."""
+    rating.  Both callers pass ascending ``train_rows``, so each bin's
+    ratings stay in table order."""
     table = binned.table
+    train_bins = binned.bin_of[train_rows]
     ops, ys = [], []
-    for t, members in enumerate(binned.bins):
-        members = members[np.isin(members, train_rows)]
+    for t in range(binned.d):
+        members = train_rows[train_bins == t]
         if members.size == 0:
             raise ValueError(f"time bin {t} has no training ratings")
         ops.append(
@@ -399,21 +402,21 @@ class TestEvaluation:
 
 def evaluate_test(
     binned: BinnedRatings,
-    split: EvalSplit,
+    holdout: tuple[np.ndarray, np.ndarray],
     kappa: float,
     cfg: FitConfig,
     rng: RandomStream,
     restarts: int = 10,
 ) -> TestEvaluation:
-    """Refit on all non-test data with ``restarts`` random initializations
-    and score each fit on the chronological test set.  The training set is
-    built once; a split with no test ratings is refused before any fit."""
+    """Refit on the training rows of ``holdout``, the ``(test, train)`` pair
+    of :func:`chronological_split`, with ``restarts`` random initializations
+    and score each fit on its test rows.  The training set is built once; a
+    split with no test ratings is refused before any fit."""
     if restarts not in COUNT:
         raise ValueError(f"restarts must be {COUNT}")
-    test = split.test_rows
+    test, train = holdout
     if test.size == 0:
         raise EmptyResultError("the test split holds no ratings")
-    train = np.setdiff1d(np.arange(binned.table.n), test, assume_unique=True)
     obs, scored = _training_set(binned, train, test)
     weights = optimal_weights(binned.d, kappa)
     rmse = [_fit_rmse(binned, obs, scored, weights, cfg, rng.child(i))
@@ -430,10 +433,10 @@ def synthetic_ratings(
     noise_std: float,
     drift_std: float,
     rng: RandomStream,
-    bin_width: int = 10_000,
 ) -> tuple[RatingsTable, DynamicGroundTruth]:
     """Planted ratings data: a drifting low-rank matrix sampled uniformly
-    within each of ``d`` equal time windows, with Gaussian rating noise.
+    within each of ``d`` time windows of ``BIN_WIDTH`` ticks, with Gaussian
+    rating noise.
 
     One record per window is pinned to the window boundary so that
     :func:`bin_by_time` with the same ``d`` reproduces the planted windows
@@ -448,11 +451,11 @@ def synthetic_ratings(
         gen = rng.child(1 + t).generator()
         item_idx = gen.integers(0, n_items, size=per_bin)
         user_idx = gen.integers(0, n_users, size=per_bin)
-        ts = gen.integers(t * bin_width, (t + 1) * bin_width, size=per_bin)
+        ts = gen.integers(t * BIN_WIDTH, (t + 1) * BIN_WIDTH, size=per_bin)
         if t == 0:
             ts[0] = 0
         if t == d - 1:
-            ts[-1] = d * bin_width
+            ts[-1] = d * BIN_WIDTH
         vals = truth.X_seq[t][item_idx, user_idx] + noise_std * gen.standard_normal(
             per_bin
         )

@@ -20,15 +20,9 @@ from .core import NONNEGATIVE
 
 @dataclass(frozen=True, eq=False)
 class WeightVector:
-    """Nonnegative per-bin weights summing to one.
-
-    ``kappa`` records the noise-ratio parameter the weights were derived
-    from, when there is one: 0 for equal weights, ``math.inf`` for
-    last-bin-only, ``None`` for explicitly supplied weights.
-    """
+    """Nonnegative per-bin weights summing to one."""
 
     w: np.ndarray
-    kappa: float | None = None
 
     def __post_init__(self) -> None:
         w = np.asarray(self.w, dtype=float)
@@ -41,14 +35,8 @@ class WeightVector:
         w = np.maximum(w, 0.0)
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
-        if self.kappa is not None and not self.kappa >= 0:
-            raise ValueError("kappa must be nonnegative")
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
-
-    @property
-    def d(self) -> int:
-        return self.w.size
 
     def __len__(self) -> int:
         return self.w.size
@@ -79,7 +67,7 @@ def optimal_weights(d: int, kappa: float) -> WeightVector:
     kappa = _check_d_kappa(d, kappa)
     lag = lag_profile(d)
     raw = (lag == 0) * 1.0 if math.isinf(kappa) else 1.0 / (1.0 + lag * kappa)
-    return WeightVector(raw / raw.sum(), kappa=kappa)
+    return WeightVector(raw / raw.sum())
 
 
 _BASELINE_KAPPA = {"last_only": math.inf, "equal": 0.0}

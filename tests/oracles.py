@@ -28,7 +28,7 @@ def solve_weight_qp(d: int, kappa: float) -> WeightVector:
         return baseline_weights(d, "last_only")
     diag = 1.0 + lag_profile(d) * kappa
     w = _simplex_diag_qp(diag)
-    return WeightVector(w, kappa=kappa)
+    return WeightVector(w)
 
 
 def _simplex_diag_qp(diag: np.ndarray) -> np.ndarray:
@@ -65,6 +65,28 @@ def dedup_triples_by_dict(users, items, values, stamps):
         keep[(int(users[idx]), int(items[idx]), int(stamps[idx]))] = idx
     kept = np.array(sorted(keep.values()), dtype=np.int64)
     return users[kept], items[kept], values[kept], stamps[kept]
+
+
+def truncate_by_unique(user_ids, item_ids, min_user_ratings, min_item_ratings):
+    """The rows :func:`lowems.ratings.truncate` keeps, as a boolean mask (all
+    False when nothing survives): each round counts the kept ratings per raw
+    user and item id with ``np.unique`` and drops the rows under a threshold,
+    until a round drops nothing."""
+    keep = np.ones(len(user_ids), dtype=bool)
+    while keep.any():
+        _, user_inv, user_counts = np.unique(
+            user_ids[keep], return_inverse=True, return_counts=True
+        )
+        _, item_inv, item_counts = np.unique(
+            item_ids[keep], return_inverse=True, return_counts=True
+        )
+        ok = (user_counts[user_inv] >= min_user_ratings) & (
+            item_counts[item_inv] >= min_item_ratings
+        )
+        if ok.all():
+            break
+        keep[np.flatnonzero(keep)[~ok]] = False
+    return keep
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from lowems.measurement import estimate_rip, make_operator, observe
 from lowems.ratings import (
     FitConfig,
     bin_by_time,
+    chronological_split,
     cross_validate_kappa,
     evaluate_test,
     make_split,
@@ -291,9 +292,10 @@ def test_10_ratings_pipeline_recovers_noise_ratio(capsys):
         cv = cross_validate_kappa(binned, split, grid, fit, root.child(2))
         picks.append(cv.best_kappa)
         hits += abs(grid.index(cv.best_kappa) - grid.index(planted)) <= 1
+        holdout = chronological_split(table)
 
         def rmse(kappa, stream):
-            report = evaluate_test(binned, split, kappa, fit, stream, restarts=3)
+            report = evaluate_test(binned, holdout, kappa, fit, stream, restarts=3)
             return float(np.mean(report.rmse))
 
         best = rmse(cv.best_kappa, root.child(3))

@@ -37,7 +37,7 @@ class TestRoundTrip:
         assert loaded.variant == variant
         assert (loaded.n1, loaded.n2, loaded.d) == (9, 7, 3)
         assert loaded.noise_std == 0.02
-        assert loaded.m0 == 40
+        assert [op.m for op in loaded.ops] == [40, 40, 40]
 
     @pytest.mark.parametrize("variant", ["gaussian", "sampling"])
     def test_observations_bitwise(self, variant, tmp_path):

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+from lowems import ratings
 from lowems.bundles import load_bundle
 from lowems.cli import _RANGES, _float_list, build_parser, main
 from lowems.core import RandomStream
@@ -237,7 +238,8 @@ class TestExitCodes:
 class TestGenerateSolve:
     def test_generate_writes_loadable_bundle(self, capsys, bundle_path):
         obs = load_bundle(bundle_path)
-        assert (obs.n1, obs.n2, obs.d, obs.m0) == (8, 6, 2, 60)
+        assert (obs.n1, obs.n2, obs.d) == (8, 6, 2)
+        assert [op.m for op in obs.ops] == [60, 60]
         assert obs.variant == "sampling"
         assert obs.truth is not None
 
@@ -251,7 +253,7 @@ class TestGenerateSolve:
              "--variant", "sampling", "--out", str(other), "--seed", "7"],
         )
         assert code == 0
-        assert "wrote bundle" in out
+        assert out == f"wrote bundle {other} (d=2, m0=60, sampling)\n"
         first, second = load_bundle(bundle_path), load_bundle(other)
         for y_a, y_b in zip(first.y, second.y):
             np.testing.assert_array_equal(y_b, y_a)
@@ -520,7 +522,16 @@ class TestRatingsPipeline:
         assert lines[0] == "kappa,mean_val_rmse,std"
         assert len(lines) == 3
 
-    def test_eval_writes_restart_csv(self, capsys, ratings_csv, tmp_path):
+    def test_ingest_accepts_a_byte_order_mark(self, capsys, ratings_csv, tmp_path):
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + ratings_csv.read_bytes())
+        outs = [_run(capsys, ["ratings", "ingest", "--in", str(p)]) for p in (ratings_csv, marked)]
+        assert outs[0][0] == outs[1][0] == 0
+        assert outs[0][1] == outs[1][1]
+
+    def test_eval_writes_restart_csv(self, capsys, monkeypatch, ratings_csv, tmp_path):
+        folds = []
+        monkeypatch.setattr(ratings, "make_split", lambda *a, **k: folds.append(a))
         out = tmp_path / "eval.csv"
         code, stdout, _ = _run(
             capsys,
@@ -534,6 +545,27 @@ class TestRatingsPipeline:
         assert lines[0] == "restart,test_rmse"
         assert len(lines) == 3
         assert np.isfinite(float(lines[1].split(",")[1]))
+        assert folds == []  # eval draws no CV fold
+
+    def test_eval_names_the_bin_without_training_ratings(self, capsys, monkeypatch, tmp_path):
+        # 30 ratings at 0..29 in two bins: the latest half is all of bin 1
+        path = tmp_path / "r.csv"
+        path.write_text("user_id,item_id,rating,timestamp\n" + "".join(
+            f"{k % 4},{k % 5},{k % 3},{k}\n" for k in range(30)
+        ))
+        folds = []
+        monkeypatch.setattr(ratings, "make_split", lambda *a, **k: folds.append(a))
+        out = tmp_path / "eval.csv"
+        code, _, err = _run(
+            capsys,
+            ["ratings", "eval", "--in", str(path), "--d", "2", "--rank", "1",
+             "--kappa", "1", "--test-frac", "0.5", "--restarts", "1",
+             "--out", str(out), "--seed", "1"],
+        )
+        assert code == 2
+        assert "lowems: failed: time bin 1 has no training ratings" in err
+        assert folds == []
+        assert not out.exists()
 
     def test_cv_accepts_an_empty_test_split(self, capsys, ratings_csv, tmp_path):
         out = tmp_path / "cv.csv"

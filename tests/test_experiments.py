@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from lowems import experiments
 from lowems.experiments import (
     DiagnosticsRow,
     SweepConfig,
+    _aggregate,
     bound_shape,
     default_p_grid,
     phi_prime,
@@ -70,9 +72,10 @@ class TestErrorSweep:
         cfg = _tiny_error_cfg()
         res = run_error_sweep(cfg)
         assert res.mode == "error"
-        assert len(res.rows) == len(cfg.drift_grid) * len(cfg.strategies)
+        assert [(row.drift_std, row.strategy) for row in res.rows] == [
+            (drift, s) for drift in cfg.drift_grid for s in cfg.strategies
+        ]
         for row in res.rows:
-            assert row.metric == "mean_rel_error"
             assert row.trials == cfg.trials
             assert np.isfinite(row.value) and row.value >= 0
             assert row.stddev >= 0
@@ -160,6 +163,13 @@ class TestErrorSweep:
         assert int(trials) == 2
 
 
+def test_aggregate_leaves_out_diverged_trials():
+    assert _aggregate([1.0, None, 3.0]) == (2.0, math.sqrt(2.0), 2)
+    assert _aggregate([4.0]) == (4.0, 0.0, 1)
+    mean, std, n = _aggregate([None, None])
+    assert math.isnan(mean) and math.isnan(std) and n == 0
+
+
 class TestSampleSweep:
     @pytest.mark.filterwarnings("ignore::lowems.solver.RankDeficiencyWarning")
     def test_reports_first_sufficient_density(self):
@@ -207,6 +217,23 @@ class TestSampleSweep:
             run_sample_sweep(_tiny_error_cfg(m0=None, p_grid=(0.0, 0.5)))
         with pytest.raises(ValueError):
             run_sample_sweep(_tiny_error_cfg(m0=None, p_grid=(0.5, 1.5)))
+
+    @pytest.mark.filterwarnings("ignore::lowems.solver.RankDeficiencyWarning")
+    def test_each_lane_fits_only_its_strategy(self, monkeypatch):
+        fitted, solve = [], experiments.solve
+
+        def counting(problem, **kwargs):
+            fitted.append(problem.weights.w.tolist())
+            return solve(problem, **kwargs)
+
+        monkeypatch.setattr(experiments, "solve", counting)
+        cfg = _tiny_error_cfg(
+            m0=None, trials=2, drift_grid=(0.1,), strategies=("equal", "last_only"),
+            p_grid=(0.9,),
+        )
+        run_sample_sweep(cfg)
+        # one solve per (lane, trial): equal weights twice, then last-only twice
+        assert fitted == [[0.5, 0.5]] * 2 + [[0.0, 1.0]] * 2
 
     def test_default_grid(self):
         grid = default_p_grid()

@@ -310,7 +310,8 @@ class TestObservationSet:
         a = make_operator("sampling", 4, 4, 6, RandomStream(43))
         b = make_operator("sampling", 4, 4, 9, RandomStream(44))
         obs = ObservationSet(ops=(a, b), y=(np.zeros(6), np.zeros(9)), noise_std=0.0)
-        assert obs.m0 is None
+        assert [op.m for op in obs.ops] == [6, 9]
+        assert [y.size for y in obs.y] == [6, 9]
         assert obs.d == 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -320,11 +321,6 @@ class TestObservationSet:
         y[1][4] = bad
         with pytest.raises(ValueError, match="time bin 1 "):
             ObservationSet(ops=ops, y=tuple(y), noise_std=0.0)
-
-    def test_common_m0_reported(self):
-        ops = tuple(make_operator("sampling", 4, 4, 6, RandomStream(45).child(t)) for t in range(2))
-        obs = ObservationSet(ops=ops, y=(np.zeros(6), np.zeros(6)), noise_std=0.0)
-        assert obs.m0 == 6
 
 
 class TestIsometryGap:

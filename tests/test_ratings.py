@@ -9,11 +9,13 @@ import pytest
 from lowems import ratings
 from lowems.core import RandomStream
 from lowems.ratings import (
+    BIN_WIDTH,
     EmptyResultError,
     FitConfig,
     HEADER,
     _dedup_triples,
     bin_by_time,
+    chronological_split,
     cross_validate_kappa,
     evaluate_test,
     ingest,
@@ -22,7 +24,15 @@ from lowems.ratings import (
     table_to_csv,
     truncate,
 )
-from oracles import dedup_triples_by_dict
+from oracles import dedup_triples_by_dict, truncate_by_unique
+
+
+def _bin_sizes(binned):
+    return np.bincount(binned.bin_of, minlength=binned.d).tolist()
+
+
+def _bin_rows(binned, t):
+    return np.flatnonzero(binned.bin_of == t)
 
 
 def _write_csv(path, records):
@@ -123,6 +133,16 @@ class TestIngest:
         with pytest.raises(ValueError, match="non-finite"):
             ingest(non_finite)
 
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a UTF-8 byte-order mark
+        plain = _write_csv(tmp_path / "plain.csv", [(7, 300, 4.0, 100), (3, 100, 2.5, 50)])
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = ingest(plain), ingest(marked)
+        for name in ("user_ids", "item_ids", "ratings", "timestamps", "user_cols", "item_rows"):
+            np.testing.assert_array_equal(getattr(b, name), getattr(a, name))
+        assert (b.n_users, b.n_items) == (a.n_users, a.n_items) == (2, 2)
+
     def test_round_trip(self, tmp_path):
         src = _write_csv(
             tmp_path / "a.csv",
@@ -167,6 +187,29 @@ class TestTruncate:
         assert user_counts.min() >= 3
         assert item_counts.min() >= 4
 
+    def test_matches_unique_oracle(self):
+        # raw ids are negative and non-contiguous, so the table's coordinates
+        # differ from the ids the oracle counts on
+        gen = RandomStream(109).generator()
+        outcomes = {"kept": 0, "empty": 0}
+        for _ in range(300):
+            n = int(gen.integers(1, 40))
+            users = gen.choice([-9, -4, 0, 3, 17, 250], size=n)
+            items = gen.choice([-30, -2, 5, 6, 41, 1000, 77], size=n)
+            table = ratings._build_table(users, items, gen.standard_normal(n), np.arange(n))
+            lo_user, lo_item = (int(v) for v in gen.integers(1, 5, size=2))
+            keep = truncate_by_unique(table.user_ids, table.item_ids, lo_user, lo_item)
+            if not keep.any():
+                outcomes["empty"] += 1
+                with pytest.raises(EmptyResultError, match="removed all ratings"):
+                    truncate(table, lo_user, lo_item)
+                continue
+            outcomes["kept"] += 1
+            kept = truncate(table, lo_user, lo_item)
+            for name in ("user_ids", "item_ids", "ratings", "timestamps"):
+                np.testing.assert_array_equal(getattr(kept, name), getattr(table, name)[keep])
+        assert min(outcomes.values()) > 30, outcomes
+
     def test_identity_when_thresholds_are_one(self, tmp_path):
         table = ingest(
             _write_csv(tmp_path / "r.csv", [(1, 1, 1.0, 0), (2, 2, 2.0, 1)])
@@ -195,7 +238,7 @@ class TestBinByTime:
         table = ingest(_write_csv(tmp_path / "r.csv", records))
         binned = bin_by_time(table, 2)
         np.testing.assert_allclose(binned.edges, [0.0, 15.0, 30.0])
-        assert [len(b) for b in binned.bins] == [2, 2]
+        assert _bin_sizes(binned) == [2, 2]
         # max timestamp lands in the last (right-closed) bin
         assert int(binned.bin_of[np.argmax(table.timestamps)]) == 1
 
@@ -208,9 +251,10 @@ class TestBinByTime:
         ]
         table = ingest(_write_csv(tmp_path / "r.csv", records))
         binned = bin_by_time(table, 5)
-        assert sum(len(b) for b in binned.bins) == table.n
+        assert binned.d == 5 and binned.bin_of.shape == (table.n,)
+        assert sum(_bin_sizes(binned)) == table.n
         for t in range(5):
-            ts = table.timestamps[binned.bins[t]]
+            ts = table.timestamps[_bin_rows(binned, t)]
             if ts.size == 0:
                 continue
             assert ts.min() >= binned.edges[t]
@@ -222,11 +266,48 @@ class TestBinByTime:
     def test_single_bin_and_degenerate_timestamps(self, tmp_path):
         records = [(1, 1, 1.0, 5), (2, 2, 2.0, 5)]
         table = ingest(_write_csv(tmp_path / "r.csv", records))
-        assert [len(b) for b in bin_by_time(table, 1).bins] == [2]
+        assert _bin_sizes(bin_by_time(table, 1)) == [2]
         binned = bin_by_time(table, 3)
-        assert [len(b) for b in binned.bins] == [0, 0, 2]
+        assert binned.d == 3
+        assert _bin_sizes(binned) == [0, 0, 2]
         with pytest.raises(ValueError):
             bin_by_time(table, 0)
+
+
+class TestChronologicalSplit:
+    def test_latest_ratings_are_the_test_rows(self, tmp_path):
+        stamps = [5, 1, 9, 3, 9, 7, 0, 2]
+        records = [(k % 3, k % 2, 1.0, ts) for k, ts in enumerate(stamps)]
+        table = ingest(_write_csv(tmp_path / "r.csv", records))
+        test, train = chronological_split(table, test_frac=0.375)
+        # the three latest are the two 9s and the 7, in ascending row order
+        np.testing.assert_array_equal(test, [2, 4, 5])
+        np.testing.assert_array_equal(train, [0, 1, 3, 6, 7])
+
+    def test_equal_timestamps_go_by_table_row(self, tmp_path):
+        records = [(k, k, 1.0, 4) for k in range(10)]
+        table = ingest(_write_csv(tmp_path / "r.csv", records))
+        test, train = chronological_split(table, test_frac=0.2)
+        np.testing.assert_array_equal(test, [8, 9])
+        np.testing.assert_array_equal(train, np.arange(8))
+
+    def test_validation(self, tmp_path):
+        table = ingest(_write_csv(tmp_path / "r.csv", [(1, 1, 1.0, 0)]))
+        for bad in (-0.1, 1.0, math.nan):
+            with pytest.raises(ValueError, match="test_frac"):
+                chronological_split(table, bad)
+
+    def test_eval_needs_no_fold_pool(self, tmp_path):
+        # 30 ratings at 0..29 in two bins: the latest half is all of bin 1
+        records = [(k % 4, k % 5, float(k % 3), k) for k in range(30)]
+        binned = bin_by_time(ingest(_write_csv(tmp_path / "r.csv", records)), 2)
+        holdout = chronological_split(binned.table, test_frac=0.5)
+        np.testing.assert_array_equal(holdout[0], np.arange(15, 30))
+        with pytest.raises(ValueError, match="last bin has 0 non-test ratings"):
+            make_split(binned, RandomStream(110), test_frac=0.5, folds=1)
+        cfg = FitConfig(rank=1)
+        with pytest.raises(ValueError, match="time bin 1 has no training ratings"):
+            evaluate_test(binned, holdout, 1.0, cfg, RandomStream(111), restarts=1)
 
 
 class TestMakeSplit:
@@ -234,6 +315,15 @@ class TestMakeSplit:
     def table(self, tmp_path):
         records = [(k % 7, k % 5, float(k % 3), k) for k in range(100)]
         return ingest(_write_csv(tmp_path / "r.csv", records))
+
+    def test_folds_split_the_chronological_training_rows(self, table):
+        binned = bin_by_time(table, 4)
+        split = make_split(binned, RandomStream(112), test_frac=0.15, folds=3)
+        test, train = chronological_split(table, test_frac=0.15)
+        np.testing.assert_array_equal(split.test_rows, test)
+        for fold_train, val in split.folds:
+            np.testing.assert_array_equal(np.union1d(fold_train, val), train)
+            assert np.all(np.diff(fold_train) > 0)
 
     def test_chronological_test_set(self, table):
         binned = bin_by_time(table, 4)
@@ -248,7 +338,7 @@ class TestMakeSplit:
         split = make_split(binned, RandomStream(81), folds=5)
         in_test = np.zeros(table.n, dtype=bool)
         in_test[split.test_rows] = True
-        last_bin = binned.bins[3]
+        last_bin = _bin_rows(binned, 3)
         pool = set(last_bin[~in_test[last_bin]].tolist())
         earlier = set(range(table.n)) - set(last_bin.tolist()) - set(
             split.test_rows.tolist()
@@ -344,29 +434,27 @@ class TestEvaluateTest:
             rng=RandomStream(94),
         )
         binned = bin_by_time(table, 2)
-        split = make_split(binned, RandomStream(95), folds=2)
+        holdout = chronological_split(table)
         cfg = FitConfig(rank=2, gamma=0.5, max_sweeps=40, tol=1e-6)
-        ev = evaluate_test(binned, split, 1.0, cfg, RandomStream(96), restarts=3)
+        ev = evaluate_test(binned, holdout, 1.0, cfg, RandomStream(96), restarts=3)
         assert ev.rmse.shape == (3,)
         assert np.all(np.isfinite(ev.rmse))
-        again = evaluate_test(binned, split, 1.0, cfg, RandomStream(96), restarts=3)
+        again = evaluate_test(binned, holdout, 1.0, cfg, RandomStream(96), restarts=3)
         np.testing.assert_array_equal(ev.rmse, again.rmse)
         with pytest.raises(ValueError):
-            evaluate_test(binned, split, 1.0, cfg, RandomStream(96), restarts=0)
+            evaluate_test(binned, holdout, 1.0, cfg, RandomStream(96), restarts=0)
 
     def test_unseen_user_is_excluded(self, tmp_path):
         records = [(k % 3, k % 10, float(k % 5), k) for k in range(30)]
         # user 5 appears only in the final three records (the test window)
         records += [(5, 0, 1.0, 97), (5, 1, 2.0, 98), (5, 2, 3.0, 99)]
-        records += [(0, 0, 1.0, 96)]  # keeps the last bin's training pool nonempty
+        records += [(0, 0, 1.0, 96)]  # keeps the last bin's training set nonempty
         table = ingest(_write_csv(tmp_path / "r.csv", records))
         binned = bin_by_time(table, 2)
-        split = make_split(binned, RandomStream(97), test_frac=3 / 34, folds=1)
-        np.testing.assert_array_equal(
-            np.sort(table.timestamps[split.test_rows]), [97, 98, 99]
-        )
+        holdout = chronological_split(table, test_frac=3 / 34)
+        np.testing.assert_array_equal(table.timestamps[holdout[0]], [97, 98, 99])
         cfg = FitConfig(rank=1, gamma=0.5, max_sweeps=30, tol=1e-6)
-        ev = evaluate_test(binned, split, 0.0, cfg, RandomStream(98), restarts=1)
+        ev = evaluate_test(binned, holdout, 0.0, cfg, RandomStream(98), restarts=1)
         assert ev.n_excluded == 3
         assert ev.n_used == 0
         assert math.isnan(float(ev.rmse[0]))
@@ -379,12 +467,12 @@ class TestEvaluateTest:
     ):
         records = [(k % 3, k % 4, float(k % 5), k) for k in range(n)]
         binned = bin_by_time(ingest(_write_csv(tmp_path / "r.csv", records)), 2)
-        split = make_split(binned, RandomStream(107), test_frac=test_frac, folds=1)
-        assert split.test_rows.size == 0
+        holdout = chronological_split(binned.table, test_frac)
+        assert holdout[0].size == 0
         fits = []
         monkeypatch.setattr(ratings, "solve", lambda *a, **k: fits.append(a))
         with pytest.raises(EmptyResultError, match="test split holds no ratings"):
-            evaluate_test(binned, split, 1.0, FitConfig(rank=1), RandomStream(108))
+            evaluate_test(binned, holdout, 1.0, FitConfig(rank=1), RandomStream(108))
         assert fits == []
 
     def test_csv_output(self, tmp_path):
@@ -393,9 +481,8 @@ class TestEvaluateTest:
             rng=RandomStream(99),
         )
         binned = bin_by_time(table, 1)
-        split = make_split(binned, RandomStream(100), folds=2)
         ev = evaluate_test(
-            binned, split, 0.0, FitConfig(rank=1, gamma=0.5, max_sweeps=30),
+            binned, chronological_split(table), 0.0, FitConfig(rank=1, gamma=0.5, max_sweeps=30),
             RandomStream(101), restarts=2,
         )
         out = tmp_path / "ev.csv"
@@ -448,25 +535,29 @@ class TestTrainingSets:
     def test_eval_builds_one_set(self, planted, builds, restarts):
         binned, split = planted
         cfg = FitConfig(rank=2, gamma=0.5, max_sweeps=40, tol=1e-6)
-        ev = evaluate_test(binned, split, 1.0, cfg, RandomStream(106), restarts=restarts)
+        test, train = chronological_split(binned.table)
+        np.testing.assert_array_equal(test, split.test_rows)
+        ev = evaluate_test(
+            binned, (test, train), 1.0, cfg, RandomStream(106), restarts=restarts
+        )
         assert len(builds) == 1
         assert ev.rmse.shape == (restarts,)
-        assert ev.n_used + ev.n_excluded == split.test_rows.size
+        assert ev.n_used + ev.n_excluded == test.size
 
 
 class TestSyntheticRatings:
     def test_bins_align_with_planted_windows(self):
         table, truth = synthetic_ratings(
             20, 30, 2, 3, fill=0.2, noise_std=0.05, drift_std=0.1,
-            rng=RandomStream(102), bin_width=1000,
+            rng=RandomStream(102),
         )
         binned = bin_by_time(table, 3)
-        np.testing.assert_allclose(binned.edges, [0.0, 1000.0, 2000.0, 3000.0])
+        np.testing.assert_array_equal(binned.edges, BIN_WIDTH * np.arange(4.0))
         assert truth.d == 3 and truth.n1 == 20 and truth.n2 == 30
         for t in range(3):
-            ts = table.timestamps[binned.bins[t]]
+            ts = table.timestamps[_bin_rows(binned, t)]
             assert ts.size > 0
-            assert ts.min() >= 1000 * t
+            assert ts.min() >= BIN_WIDTH * t
 
     def test_values_are_truth_plus_noise(self):
         table, truth = synthetic_ratings(
@@ -475,7 +566,7 @@ class TestSyntheticRatings:
         )
         binned = bin_by_time(table, 2)
         for t in range(2):
-            idx = binned.bins[t]
+            idx = _bin_rows(binned, t)
             planted = truth.X_seq[t][
                 table.item_rows[idx], table.user_cols[idx]
             ]

@@ -62,11 +62,6 @@ class TestClosedForm:
             b = optimal_weights(10, kappa + 1e-6).w
             assert np.max(np.abs(a - b)) < 1e-4
 
-    def test_kappa_recorded(self):
-        assert optimal_weights(5, 2.0).kappa == 2.0
-        assert baseline_weights(5, "equal").kappa == 0.0
-        assert baseline_weights(5, "last_only").kappa == math.inf
-
     def test_validation(self):
         with pytest.raises(ValueError):
             optimal_weights(0, 1.0)
@@ -108,11 +103,6 @@ class TestWeightVector:
         w = optimal_weights(4, 1.0)
         with pytest.raises(ValueError):
             w.w[0] = 0.9
-
-    def test_explicit_vector_has_no_kappa(self):
-        w = WeightVector(np.array([0.25, 0.75]))
-        assert w.kappa is None
-        assert w.d == 2
 
 
 class TestKappaFor:
