@@ -126,7 +126,8 @@ class _Parser(argparse.ArgumentParser):
 
     def _read_config(self, path) -> dict:
         """The file's values, each passed through its option's ``type`` and
-        checked against its ``choices``."""
+        checked against its ``choices``.  As on the command line, a boolean
+        is refused, and so is a non-integral number for an ``int`` option."""
         try:
             with open(path) as fh:
                 values = json.load(fh)
@@ -140,6 +141,11 @@ class _Parser(argparse.ArgumentParser):
         for key, value in values.items():
             action = self.config_options[key]
             try:
+                items = value if isinstance(value, list) else [value]
+                if any(isinstance(v, bool) for v in items):
+                    raise ValueError(f"booleans are not accepted, got {json.dumps(value)}")
+                if action.type is int and isinstance(value, float) and not value.is_integer():
+                    raise ValueError(f"{value!r} is not an integer")
                 if action.type is not None:
                     value = action.type(value)
                 if action.choices is not None and value not in action.choices:
@@ -345,9 +351,9 @@ def _cmd_ratings_cv(args) -> int:
     if not args.kappa_grid:  # refused before the table is read
         raise UsageError("kappa_grid must be nonempty")
     binned, cfg, root = _load_binned(args)
-    split = ratings.make_split(binned, root.child(0), args.test_frac, args.folds)
+    folds = ratings.make_split(binned, root.child(0), args.test_frac, args.folds)
     result = ratings.cross_validate_kappa(
-        binned, split, args.kappa_grid, cfg, root.child(1)
+        binned, folds, args.kappa_grid, cfg, root.child(1)
     )
     result.to_csv(args.out)
     print(f"best_kappa {FLOAT_FORMAT % result.best_kappa}")
@@ -357,10 +363,10 @@ def _cmd_ratings_cv(args) -> int:
 
 def _cmd_ratings_eval(args) -> int:
     binned, cfg, root = _load_binned(args)
-    holdout = ratings.chronological_split(binned.table, args.test_frac)
+    split = ratings.chronological_split(binned.table, args.test_frac)
     try:
         result = ratings.evaluate_test(
-            binned, holdout, args.kappa, cfg, root.child(2), restarts=args.restarts
+            binned, split, args.kappa, cfg, root.child(2), restarts=args.restarts
         )
     except ratings.EmptyResultError as exc:
         raise UsageError(f"--test-frac {args.test_frac}: {exc}") from None

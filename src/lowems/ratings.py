@@ -204,33 +204,18 @@ def bin_by_time(table: RatingsTable, d: int) -> BinnedRatings:
     return BinnedRatings(table, edges, bin_of.astype(np.int64))
 
 
-@dataclass(frozen=True, eq=False)
-class EvalSplit:
-    """Chronological test split plus fold structure for cross-validation.
-
-    ``test_rows`` are those of :func:`chronological_split`.  Each fold is
-    a ``(train_rows, val_rows)`` pair; validation rows partition the last
-    bin's non-test ratings, and a fold trains on every other non-test row,
-    so every earlier bin is in all training sets (earlier bins exist to
-    inform the temporal weighting, not to be predicted).
-    """
-
-    test_rows: np.ndarray
-    folds: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-
 def chronological_split(
     table: RatingsTable, test_frac: float = 0.10
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The test rows, the latest ``round(test_frac * n)`` ratings (equal
-    timestamps ordered by table row), and the training rows, all the others.
-    Both are ascending."""
+    """The ``(train_rows, test_rows)`` split: the test rows are the latest
+    ``round(test_frac * n)`` ratings (equal timestamps ordered by table row),
+    the training rows all the others.  Both are ascending."""
     if test_frac not in TEST_FRACTIONS:
         raise ValueError(f"test_frac must be {TEST_FRACTIONS}")
     n = table.n
     n_test = int(round(test_frac * n))
     order = np.lexsort((np.arange(n), table.timestamps))
-    return np.sort(order[n - n_test :]), np.sort(order[: n - n_test])
+    return np.sort(order[: n - n_test]), np.sort(order[n - n_test :])
 
 
 def make_split(
@@ -238,10 +223,15 @@ def make_split(
     rng: RandomStream,
     test_frac: float = 0.10,
     folds: int = 5,
-) -> EvalSplit:
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The ``(train_rows, val_rows)`` folds for cross-validation, outside the
+    test rows of :func:`chronological_split`.  Validation rows partition the
+    last bin's non-test ratings, and a fold trains on every other non-test
+    row, so every earlier bin is in all training sets (earlier bins exist to
+    inform the temporal weighting, not to be predicted)."""
     if folds not in COUNT:
         raise ValueError(f"folds must be {COUNT}")
-    test, rest = chronological_split(binned.table, test_frac)
+    rest, _ = chronological_split(binned.table, test_frac)
     pool = rest[binned.bin_of[rest] == binned.d - 1]
     if pool.size < folds:
         raise ValueError(
@@ -250,8 +240,7 @@ def make_split(
     perm = rng.generator().permutation(pool)
     vals = [np.sort(part) for part in np.array_split(perm, folds)]
     # rows are unique, and a difference that assumes so keeps rest's sorted order
-    trains = [np.setdiff1d(rest, val, assume_unique=True) for val in vals]
-    return EvalSplit(test, tuple(zip(trains, vals)))
+    return tuple((np.setdiff1d(rest, val, assume_unique=True), val) for val in vals)
 
 
 @dataclass(frozen=True)
@@ -266,12 +255,13 @@ class FitConfig:
 
 
 def _training_set(
-    binned: BinnedRatings, train_rows: np.ndarray, eval_rows: np.ndarray
+    binned: BinnedRatings, split: tuple[np.ndarray, np.ndarray]
 ) -> tuple[ObservationSet, np.ndarray]:
-    """The observations of ``train_rows``, one sampling operator per time
-    bin, and the ``eval_rows`` whose item and user both have a training
-    rating.  Both callers pass ascending ``train_rows``, so each bin's
-    ratings stay in table order."""
+    """The observations of a ``(train_rows, held_rows)`` split's training
+    rows, one sampling operator per time bin, and the held rows whose item
+    and user both have a training rating.  Both splitters return ascending
+    training rows, so each bin's ratings stay in table order."""
+    train_rows, held_rows = split
     table = binned.table
     train_bins = binned.bin_of[train_rows]
     ops, ys = [], []
@@ -289,10 +279,10 @@ def _training_set(
         )
         ys.append(table.ratings[members])
     items, users = table.item_rows, table.user_cols
-    seen = np.isin(items[eval_rows], items[train_rows]) & np.isin(
-        users[eval_rows], users[train_rows]
+    seen = np.isin(items[held_rows], items[train_rows]) & np.isin(
+        users[held_rows], users[train_rows]
     )
-    return ObservationSet(tuple(ops), tuple(ys), noise_std=0.0), eval_rows[seen]
+    return ObservationSet(tuple(ops), tuple(ys), noise_std=0.0), held_rows[seen]
 
 
 def _fit_rmse(
@@ -304,11 +294,9 @@ def _fit_rmse(
     rng: RandomStream,
 ) -> float:
     """Fit the weighted model to ``obs`` from a random init, unclipped, and
-    return its RMSE on the ``scored`` table rows (NaN when there are none)."""
+    return its RMSE on the nonempty ``scored`` table rows."""
     problem = LowemsProblem(obs, weights, cfg.rank, gamma=cfg.gamma)
     sol = solve(problem, max_sweeps=cfg.max_sweeps, tol=cfg.tol, init="random", rng=rng)
-    if scored.size == 0:
-        return math.nan
     table = binned.table
     pred = sol.X_hat[table.item_rows[scored], table.user_cols[scored]]
     return float(np.sqrt(np.mean((pred - table.ratings[scored]) ** 2)))
@@ -336,28 +324,32 @@ class CrossValidation:
 
 def cross_validate_kappa(
     binned: BinnedRatings,
-    split: EvalSplit,
+    folds: Sequence[tuple[np.ndarray, np.ndarray]],
     kappa_grid: Sequence[float],
     cfg: FitConfig,
     rng: RandomStream,
 ) -> CrossValidation:
-    """Pick the noise-ratio parameter by fold-averaged validation RMSE.
+    """Pick the noise-ratio parameter by fold-averaged validation RMSE over
+    the ``(train_rows, val_rows)`` ``folds`` of :func:`make_split`.
 
     Each fold's training set is built once and shared by the grid, one fold
     at a time.  Random-init streams are derived per fold and shared across
     the grid, so the comparison between kappa values is not confounded by
-    init noise.
-    Folds whose fit diverges are skipped with a warning; a kappa with no
-    surviving folds is excluded from selection.  Exact RMSE ties resolve to
-    the smaller kappa.
+    init noise.  A fold with no validation rating to score is skipped before
+    any fit, and one whose fit diverges is skipped with a warning; a kappa
+    with no surviving folds is excluded from selection.  Exact RMSE ties
+    resolve to the smaller kappa.
     """
     kappa_grid = list(kappa_grid)
     if not kappa_grid:
         raise ValueError("kappa_grid must be nonempty")
     weights = [optimal_weights(binned.d, kappa) for kappa in kappa_grid]
     scores: list[list[float]] = [[] for _ in kappa_grid]
-    for f, (train, val) in enumerate(split.folds):
-        obs, scored = _training_set(binned, train, val)
+    for f, fold in enumerate(folds):
+        obs, scored = _training_set(binned, fold)
+        if scored.size == 0:  # its scores would be dropped
+            del obs
+            continue
         for kappa, w, fold_scores in zip(kappa_grid, weights, scores):
             try:
                 rmse = _fit_rmse(binned, obs, scored, w, cfg, rng.child(f))
@@ -368,8 +360,7 @@ def cross_validate_kappa(
                     stacklevel=2,
                 )
                 continue
-            if scored.size:
-                fold_scores.append(rmse)
+            fold_scores.append(rmse)
         del obs  # one fold's observations at a time
     rows = []
     for kappa, fold_scores in zip(kappa_grid, scores):
@@ -402,22 +393,24 @@ class TestEvaluation:
 
 def evaluate_test(
     binned: BinnedRatings,
-    holdout: tuple[np.ndarray, np.ndarray],
+    split: tuple[np.ndarray, np.ndarray],
     kappa: float,
     cfg: FitConfig,
     rng: RandomStream,
     restarts: int = 10,
 ) -> TestEvaluation:
-    """Refit on the training rows of ``holdout``, the ``(test, train)`` pair
-    of :func:`chronological_split`, with ``restarts`` random initializations
-    and score each fit on its test rows.  The training set is built once; a
-    split with no test ratings is refused before any fit."""
+    """Refit on the training rows of the :func:`chronological_split` pair
+    ``split`` with ``restarts`` random initializations, and score each fit
+    on its test rows.  The training set is built once; a split with no test
+    rating to score is refused before any fit."""
     if restarts not in COUNT:
         raise ValueError(f"restarts must be {COUNT}")
-    test, train = holdout
+    _, test = split
     if test.size == 0:
         raise EmptyResultError("the test split holds no ratings")
-    obs, scored = _training_set(binned, train, test)
+    obs, scored = _training_set(binned, split)
+    if scored.size == 0:
+        raise EmptyResultError("no test rating's user and item both appear in training")
     weights = optimal_weights(binned.d, kappa)
     rmse = [_fit_rmse(binned, obs, scored, weights, cfg, rng.child(i))
             for i in range(restarts)]

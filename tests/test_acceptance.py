@@ -288,14 +288,14 @@ def test_10_ratings_pipeline_recovers_noise_ratio(capsys):
             drift_std=0.1 * math.sqrt(10.0), rng=root.child(0),
         )
         binned = bin_by_time(table, 3)
-        split = make_split(binned, root.child(1))
-        cv = cross_validate_kappa(binned, split, grid, fit, root.child(2))
+        folds = make_split(binned, root.child(1))
+        cv = cross_validate_kappa(binned, folds, grid, fit, root.child(2))
         picks.append(cv.best_kappa)
         hits += abs(grid.index(cv.best_kappa) - grid.index(planted)) <= 1
-        holdout = chronological_split(table)
+        split = chronological_split(table)
 
         def rmse(kappa, stream):
-            report = evaluate_test(binned, holdout, kappa, fit, stream, restarts=3)
+            report = evaluate_test(binned, split, kappa, fit, stream, restarts=3)
             return float(np.mean(report.rmse))
 
         best = rmse(cv.best_kappa, root.child(3))

@@ -567,6 +567,30 @@ class TestRatingsPipeline:
         assert folds == []
         assert not out.exists()
 
+    def test_eval_refuses_a_split_with_nothing_to_score(self, capsys, monkeypatch, tmp_path):
+        # the one test rating, the latest, is user 9's only rating
+        pairs = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (1, 1), (2, 2), (9, 1)]
+        path = tmp_path / "r.csv"
+        path.write_text("user_id,item_id,rating,timestamp\n" + "".join(
+            f"{u},{i},{t},{t}\n" for t, (u, i) in enumerate(pairs, start=1)
+        ))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve called")
+
+        monkeypatch.setattr(ratings, "solve", refuse)
+        out = tmp_path / "eval.csv"
+        code, _, err = _run(
+            capsys,
+            ["ratings", "eval", "--in", str(path), "--d", "2", "--rank", "1",
+             "--kappa", "1", "--restarts", "3", "--test-frac", "0.12",
+             "--out", str(out), "--seed", "1"],
+        )
+        assert code == 1
+        assert ("lowems: error: --test-frac 0.12: no test rating's user and item "
+                "both appear in training") in err
+        assert not out.exists()
+
     def test_cv_accepts_an_empty_test_split(self, capsys, ratings_csv, tmp_path):
         out = tmp_path / "cv.csv"
         code, _, _ = _run(
@@ -680,6 +704,29 @@ class TestOptionResolution:
         assert type(logged["n1"]) is int
         assert all(type(logged[k]) is float for k in ("noise_std", "gamma"))
         assert all(type(s) is float for s in logged["drift_grid"])
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"n1": 6.9}, "config key 'n1': 6.9 is not an integer"),
+            ({"n1": float("inf")}, "config key 'n1': inf is not an integer"),
+            ({"n1": 4, "noise_std": True},
+             "config key 'noise_std': booleans are not accepted, got true"),
+        ],
+        ids=["fraction", "infinity", "boolean"],
+    )
+    def test_config_value_a_flag_refuses_is_refused(self, capsys, tmp_path, values, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        out = tmp_path / "b.npz"
+        code, _, err = _run(
+            capsys,
+            ["generate", "--config", str(cfg), "--n2", "5", "--rank", "1", "--d", "1",
+             "--m0", "10", "--out", str(out), "--seed", "1"],
+        )
+        assert code == 1
+        assert f"lowems: error: {message}" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["generate", "sweep-error", "rip-probe"])
     def test_bad_variant_in_config_names_the_key(self, capsys, tmp_path, command):

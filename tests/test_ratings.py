@@ -35,6 +35,15 @@ def _bin_rows(binned, t):
     return np.flatnonzero(binned.bin_of == t)
 
 
+# The latest rating is user 9's only one, and user 3's two ratings, both in
+# the last of two bins, are all of one CV fold's validation rows at
+# RandomStream(1).child(0): neither has a user among its training rows.
+UNSCORABLE = [
+    (1, 1, 1.0, 1), (1, 2, 2.0, 2), (2, 1, 3.0, 3), (2, 2, 4.0, 4), (3, 1, 5.0, 5),
+    (3, 2, 6.0, 6), (1, 1, 7.0, 7), (2, 2, 8.0, 8), (9, 1, 9.0, 9),
+]
+
+
 def _write_csv(path, records):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -279,7 +288,7 @@ class TestChronologicalSplit:
         stamps = [5, 1, 9, 3, 9, 7, 0, 2]
         records = [(k % 3, k % 2, 1.0, ts) for k, ts in enumerate(stamps)]
         table = ingest(_write_csv(tmp_path / "r.csv", records))
-        test, train = chronological_split(table, test_frac=0.375)
+        train, test = chronological_split(table, test_frac=0.375)
         # the three latest are the two 9s and the 7, in ascending row order
         np.testing.assert_array_equal(test, [2, 4, 5])
         np.testing.assert_array_equal(train, [0, 1, 3, 6, 7])
@@ -287,7 +296,7 @@ class TestChronologicalSplit:
     def test_equal_timestamps_go_by_table_row(self, tmp_path):
         records = [(k, k, 1.0, 4) for k in range(10)]
         table = ingest(_write_csv(tmp_path / "r.csv", records))
-        test, train = chronological_split(table, test_frac=0.2)
+        train, test = chronological_split(table, test_frac=0.2)
         np.testing.assert_array_equal(test, [8, 9])
         np.testing.assert_array_equal(train, np.arange(8))
 
@@ -301,13 +310,13 @@ class TestChronologicalSplit:
         # 30 ratings at 0..29 in two bins: the latest half is all of bin 1
         records = [(k % 4, k % 5, float(k % 3), k) for k in range(30)]
         binned = bin_by_time(ingest(_write_csv(tmp_path / "r.csv", records)), 2)
-        holdout = chronological_split(binned.table, test_frac=0.5)
-        np.testing.assert_array_equal(holdout[0], np.arange(15, 30))
+        split = chronological_split(binned.table, test_frac=0.5)
+        np.testing.assert_array_equal(split[1], np.arange(15, 30))
         with pytest.raises(ValueError, match="last bin has 0 non-test ratings"):
             make_split(binned, RandomStream(110), test_frac=0.5, folds=1)
         cfg = FitConfig(rank=1)
         with pytest.raises(ValueError, match="time bin 1 has no training ratings"):
-            evaluate_test(binned, holdout, 1.0, cfg, RandomStream(111), restarts=1)
+            evaluate_test(binned, split, 1.0, cfg, RandomStream(111), restarts=1)
 
 
 class TestMakeSplit:
@@ -318,33 +327,33 @@ class TestMakeSplit:
 
     def test_folds_split_the_chronological_training_rows(self, table):
         binned = bin_by_time(table, 4)
-        split = make_split(binned, RandomStream(112), test_frac=0.15, folds=3)
-        test, train = chronological_split(table, test_frac=0.15)
-        np.testing.assert_array_equal(split.test_rows, test)
-        for fold_train, val in split.folds:
+        folds = make_split(binned, RandomStream(112), test_frac=0.15, folds=3)
+        train, _ = chronological_split(table, test_frac=0.15)
+        assert len(folds) == 3
+        for fold_train, val in folds:
             np.testing.assert_array_equal(np.union1d(fold_train, val), train)
             assert np.all(np.diff(fold_train) > 0)
 
     def test_chronological_test_set(self, table):
         binned = bin_by_time(table, 4)
-        split = make_split(binned, RandomStream(80))
-        assert split.test_rows.size == 10
-        test_ts = table.timestamps[split.test_rows]
-        rest = np.delete(table.timestamps, split.test_rows)
-        assert test_ts.min() > rest.max()
+        train, test = chronological_split(table)
+        assert test.size == 10
+        assert table.timestamps[test].min() > table.timestamps[train].max()
+        for fold in make_split(binned, RandomStream(80)):
+            assert not np.isin(np.concatenate(fold), test).any()
 
     def test_fold_structure(self, table):
         binned = bin_by_time(table, 4)
-        split = make_split(binned, RandomStream(81), folds=5)
+        folds = make_split(binned, RandomStream(81), folds=5)
+        _, test = chronological_split(table)
         in_test = np.zeros(table.n, dtype=bool)
-        in_test[split.test_rows] = True
+        in_test[test] = True
         last_bin = _bin_rows(binned, 3)
         pool = set(last_bin[~in_test[last_bin]].tolist())
-        earlier = set(range(table.n)) - set(last_bin.tolist()) - set(
-            split.test_rows.tolist()
-        )
+        earlier = set(range(table.n)) - set(last_bin.tolist()) - set(test.tolist())
+        assert len(folds) == 5
         seen_val = set()
-        for train, val in split.folds:
+        for train, val in folds:
             val_set = set(val.tolist())
             assert val_set <= pool
             assert not (val_set & seen_val)
@@ -356,8 +365,8 @@ class TestMakeSplit:
         binned = bin_by_time(table, 4)
         a = make_split(binned, RandomStream(82))
         b = make_split(binned, RandomStream(82))
-        np.testing.assert_array_equal(a.test_rows, b.test_rows)
-        for (ta, va), (tb, vb) in zip(a.folds, b.folds):
+        assert len(a) == len(b) == 5
+        for (ta, va), (tb, vb) in zip(a, b):
             np.testing.assert_array_equal(ta, tb)
             np.testing.assert_array_equal(va, vb)
 
@@ -385,10 +394,10 @@ class TestCrossValidation:
             rng=RandomStream(85),
         )
         binned = bin_by_time(table, 1)
-        split = make_split(binned, RandomStream(86), folds=3)
+        folds = make_split(binned, RandomStream(86), folds=3)
         cfg = FitConfig(rank=2, gamma=0.5, max_sweeps=40, tol=1e-6)
         cv = cross_validate_kappa(
-            binned, split, [10.0, 0.5, 100.0], cfg, RandomStream(87)
+            binned, folds, [10.0, 0.5, 100.0], cfg, RandomStream(87)
         )
         assert cv.best_kappa == 0.5
         means = {row.mean_val_rmse for row in cv.rows}
@@ -400,10 +409,10 @@ class TestCrossValidation:
             rng=RandomStream(88),
         )
         binned = bin_by_time(table, 2)
-        split = make_split(binned, RandomStream(89), folds=2)
+        folds = make_split(binned, RandomStream(89), folds=2)
         cfg = FitConfig(rank=2, gamma=0.5, max_sweeps=40, tol=1e-6)
         grid = [0.0, 1.0, 50.0]
-        cv = cross_validate_kappa(binned, split, grid, cfg, RandomStream(90))
+        cv = cross_validate_kappa(binned, folds, grid, cfg, RandomStream(90))
         assert [row.kappa for row in cv.rows] == grid
         assert cv.best_kappa in grid
         out = tmp_path / "cv.csv"
@@ -414,16 +423,33 @@ class TestCrossValidation:
         assert len(rows) == 1 + len(grid)
         assert float(rows[1][0]) == 0.0
 
+    def test_fold_with_nothing_to_score_is_not_fitted(self, tmp_path, monkeypatch):
+        binned = bin_by_time(ingest(_write_csv(tmp_path / "r.csv", UNSCORABLE)), 2)
+        folds = make_split(binned, RandomStream(1).child(0), test_frac=0.12, folds=2)
+        assert [ratings._training_set(binned, fold)[1].size for fold in folds] == [2, 0]
+        fits, fit = [], ratings.solve
+
+        def counting(*args, **kwargs):
+            fits.append(args)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(ratings, "solve", counting)
+        cfg = FitConfig(rank=1)
+        cv = cross_validate_kappa(binned, folds, [0.0, 1.0], cfg, RandomStream(1).child(1))
+        assert len(fits) == 2  # one per kappa on the scored fold
+        assert [(row.kappa, row.std) for row in cv.rows] == [(0.0, 0.0), (1.0, 0.0)]
+        assert all(math.isfinite(row.mean_val_rmse) for row in cv.rows)
+
     def test_empty_grid_rejected(self):
         table, _ = synthetic_ratings(
             10, 10, 1, 1, fill=0.5, noise_std=0.1, drift_std=0.0,
             rng=RandomStream(91),
         )
         binned = bin_by_time(table, 1)
-        split = make_split(binned, RandomStream(92), folds=2)
+        folds = make_split(binned, RandomStream(92), folds=2)
         with pytest.raises(ValueError):
             cross_validate_kappa(
-                binned, split, [], FitConfig(rank=1), RandomStream(93)
+                binned, folds, [], FitConfig(rank=1), RandomStream(93)
             )
 
 
@@ -434,30 +460,55 @@ class TestEvaluateTest:
             rng=RandomStream(94),
         )
         binned = bin_by_time(table, 2)
-        holdout = chronological_split(table)
+        split = chronological_split(table)
         cfg = FitConfig(rank=2, gamma=0.5, max_sweeps=40, tol=1e-6)
-        ev = evaluate_test(binned, holdout, 1.0, cfg, RandomStream(96), restarts=3)
+        ev = evaluate_test(binned, split, 1.0, cfg, RandomStream(96), restarts=3)
         assert ev.rmse.shape == (3,)
         assert np.all(np.isfinite(ev.rmse))
-        again = evaluate_test(binned, holdout, 1.0, cfg, RandomStream(96), restarts=3)
+        again = evaluate_test(binned, split, 1.0, cfg, RandomStream(96), restarts=3)
         np.testing.assert_array_equal(ev.rmse, again.rmse)
         with pytest.raises(ValueError):
-            evaluate_test(binned, holdout, 1.0, cfg, RandomStream(96), restarts=0)
+            evaluate_test(binned, split, 1.0, cfg, RandomStream(96), restarts=0)
 
     def test_unseen_user_is_excluded(self, tmp_path):
         records = [(k % 3, k % 10, float(k % 5), k) for k in range(30)]
-        # user 5 appears only in the final three records (the test window)
-        records += [(5, 0, 1.0, 97), (5, 1, 2.0, 98), (5, 2, 3.0, 99)]
+        # user 5 appears only in three of the final four records (the test window)
+        records += [(5, 0, 1.0, 97), (5, 1, 2.0, 98), (5, 2, 3.0, 99), (0, 1, 2.0, 100)]
         records += [(0, 0, 1.0, 96)]  # keeps the last bin's training set nonempty
         table = ingest(_write_csv(tmp_path / "r.csv", records))
         binned = bin_by_time(table, 2)
-        holdout = chronological_split(table, test_frac=3 / 34)
-        np.testing.assert_array_equal(table.timestamps[holdout[0]], [97, 98, 99])
+        split = chronological_split(table, test_frac=4 / 35)
+        np.testing.assert_array_equal(table.timestamps[split[1]], [97, 98, 99, 100])
         cfg = FitConfig(rank=1, gamma=0.5, max_sweeps=30, tol=1e-6)
-        ev = evaluate_test(binned, holdout, 0.0, cfg, RandomStream(98), restarts=1)
+        ev = evaluate_test(binned, split, 0.0, cfg, RandomStream(98), restarts=1)
         assert ev.n_excluded == 3
-        assert ev.n_used == 0
-        assert math.isnan(float(ev.rmse[0]))
+        assert ev.n_used == 1
+        assert np.isfinite(ev.rmse[0])
+
+    @pytest.mark.parametrize(
+        "records, test_frac",
+        [
+            (UNSCORABLE, 0.12),
+            # user 5's three ratings, the latest, are all of the test split
+            ([(k % 3, k % 10, float(k % 5), k) for k in range(30)]
+             + [(5, 0, 1.0, 97), (5, 1, 2.0, 98), (5, 2, 3.0, 99), (0, 0, 1.0, 96)],
+             3 / 34),
+        ],
+        ids=["unseen-user", "unseen-users-window"],
+    )
+    def test_split_with_nothing_to_score_refused_before_any_fit(
+        self, tmp_path, monkeypatch, records, test_frac
+    ):
+        binned = bin_by_time(ingest(_write_csv(tmp_path / "r.csv", records)), 2)
+        split = chronological_split(binned.table, test_frac)
+        assert split[1].size > 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve called")
+
+        monkeypatch.setattr(ratings, "solve", refuse)
+        with pytest.raises(EmptyResultError, match="no test rating's user and item both appear in training"):
+            evaluate_test(binned, split, 1.0, FitConfig(rank=1), RandomStream(113))
 
     @pytest.mark.parametrize(
         "n, test_frac", [(40, 0.0), (4, 0.1)], ids=["test-frac-zero", "rounds-to-zero"]
@@ -467,12 +518,12 @@ class TestEvaluateTest:
     ):
         records = [(k % 3, k % 4, float(k % 5), k) for k in range(n)]
         binned = bin_by_time(ingest(_write_csv(tmp_path / "r.csv", records)), 2)
-        holdout = chronological_split(binned.table, test_frac)
-        assert holdout[0].size == 0
+        split = chronological_split(binned.table, test_frac)
+        assert split[1].size == 0
         fits = []
         monkeypatch.setattr(ratings, "solve", lambda *a, **k: fits.append(a))
         with pytest.raises(EmptyResultError, match="test split holds no ratings"):
-            evaluate_test(binned, holdout, 1.0, FitConfig(rank=1), RandomStream(108))
+            evaluate_test(binned, split, 1.0, FitConfig(rank=1), RandomStream(108))
         assert fits == []
 
     def test_csv_output(self, tmp_path):
@@ -525,20 +576,21 @@ class TestTrainingSets:
 
     @pytest.mark.parametrize("grid", [[1.0], [0.0, 0.1, 1.0, 10.0]])
     def test_cv_builds_one_set_per_fold(self, planted, builds, grid):
-        binned, split = planted
+        binned, folds = planted
         cfg = FitConfig(rank=2, gamma=0.5, max_sweeps=40, tol=1e-6)
-        cv = cross_validate_kappa(binned, split, grid, cfg, RandomStream(105))
-        assert len(builds) == len(split.folds) == 3
+        cv = cross_validate_kappa(binned, folds, grid, cfg, RandomStream(105))
+        assert len(builds) == len(folds) == 3
         assert [row.kappa for row in cv.rows] == grid
 
     @pytest.mark.parametrize("restarts", [1, 3])
     def test_eval_builds_one_set(self, planted, builds, restarts):
-        binned, split = planted
+        binned, folds = planted
         cfg = FitConfig(rank=2, gamma=0.5, max_sweeps=40, tol=1e-6)
-        test, train = chronological_split(binned.table)
-        np.testing.assert_array_equal(test, split.test_rows)
+        train, test = chronological_split(binned.table)
+        for fold in folds:
+            assert not np.isin(np.concatenate(fold), test).any()
         ev = evaluate_test(
-            binned, (test, train), 1.0, cfg, RandomStream(106), restarts=restarts
+            binned, (train, test), 1.0, cfg, RandomStream(106), restarts=restarts
         )
         assert len(builds) == 1
         assert ev.rmse.shape == (restarts,)
