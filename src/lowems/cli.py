@@ -352,9 +352,12 @@ def _cmd_ratings_cv(args) -> int:
         raise UsageError("kappa_grid must be nonempty")
     binned, cfg, root = _load_binned(args)
     folds = ratings.make_split(binned, root.child(0), args.test_frac, args.folds)
-    result = ratings.cross_validate_kappa(
-        binned, folds, args.kappa_grid, cfg, root.child(1)
-    )
+    try:
+        result = ratings.cross_validate_kappa(
+            binned, folds, args.kappa_grid, cfg, root.child(1)
+        )
+    except ratings.EmptyResultError as exc:
+        raise UsageError(f"--folds {args.folds}, --test-frac {args.test_frac}: {exc}") from None
     result.to_csv(args.out)
     print(f"best_kappa {FLOAT_FORMAT % result.best_kappa}")
     print(f"wrote {args.out}")

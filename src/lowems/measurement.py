@@ -180,10 +180,12 @@ class SamplingOperator:
     def __post_init__(self) -> None:
         if min(self.n1, self.n2) < 1:
             raise ValueError("operator dimensions must be positive")
-        rows = np.array(self.rows, dtype=np.int64)
-        cols = np.array(self.cols, dtype=np.int64)
+        rows, cols = np.asarray(self.rows), np.asarray(self.cols)
         if rows.ndim != 1 or rows.shape != cols.shape or rows.size < 1:
             raise ValueError("rows/cols must be equal-length nonempty 1-D arrays")
+        if rows.dtype.kind not in "iu" or cols.dtype.kind not in "iu":
+            raise ValueError(f"rows/cols must hold integers, not {rows.dtype}/{cols.dtype}")
+        rows, cols = rows.astype(np.int64), cols.astype(np.int64)
         if rows.min() < 0 or rows.max() >= self.n1:
             raise ValueError("row indices out of range")
         if cols.min() < 0 or cols.max() >= self.n2:

@@ -336,20 +336,22 @@ def cross_validate_kappa(
     at a time.  Random-init streams are derived per fold and shared across
     the grid, so the comparison between kappa values is not confounded by
     init noise.  A fold with no validation rating to score is skipped before
-    any fit, and one whose fit diverges is skipped with a warning; a kappa
-    with no surviving folds is excluded from selection.  Exact RMSE ties
-    resolve to the smaller kappa.
+    any fit (:class:`EmptyResultError` if every fold is), and one whose fit
+    diverges is skipped with a warning; a kappa with no surviving folds is
+    excluded from selection.  Exact RMSE ties resolve to the smaller kappa.
     """
     kappa_grid = list(kappa_grid)
     if not kappa_grid:
         raise ValueError("kappa_grid must be nonempty")
     weights = [optimal_weights(binned.d, kappa) for kappa in kappa_grid]
     scores: list[list[float]] = [[] for _ in kappa_grid]
+    scoreable = False
     for f, fold in enumerate(folds):
         obs, scored = _training_set(binned, fold)
         if scored.size == 0:  # its scores would be dropped
             del obs
             continue
+        scoreable = True
         for kappa, w, fold_scores in zip(kappa_grid, weights, scores):
             try:
                 rmse = _fit_rmse(binned, obs, scored, w, cfg, rng.child(f))
@@ -362,6 +364,9 @@ def cross_validate_kappa(
                 continue
             fold_scores.append(rmse)
         del obs  # one fold's observations at a time
+    if not scoreable:
+        raise EmptyResultError("no CV fold has a validation rating whose user and item "
+                               "both appear in its training rows")
     rows = []
     for kappa, fold_scores in zip(kappa_grid, scores):
         mean, std, n = _aggregate(fold_scores)

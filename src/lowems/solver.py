@@ -18,10 +18,10 @@ keeps its factors in this form).  Where the ridge drives a singular value
 of the product to zero, balancing slows that decay and a solve can take
 more sweeps.
 
-Both variants share one update, :func:`_factor_update`: the builder that
-:func:`_normal_equations` makes once per solve assembles the normal
+Each half-sweep of :func:`solve` drives the builder that
+:func:`_normal_equations` makes once per solve: it assembles the normal
 equations as a batch of systems plus a function giving the candidate's
-misfit, and the update adds the ridge, solves and reshapes.  Sampling gives
+misfit, and :func:`_ridge_solve` adds the ridge and solves.  Sampling gives
 one tiny system per output row; all rows come from one GEMM of dense merged
 weights (two ``n1 * n2`` arrays) held by the builder, so its cost follows
 ``n1 * n2`` rather than the observation count.  Dense sensing gives one
@@ -190,53 +190,38 @@ def init_factors(
 
 def update_V(problem: LowemsProblem, u: np.ndarray) -> np.ndarray:
     """Exact minimizer of the objective over ``V`` with ``U = u`` fixed."""
-    return _factor_update(problem, u, side="V")[0]
+    u = _fixed_factor(problem, u, "V")
+    return _ridge_solve(problem, *_normal_equations(problem)(u, "V")[:2])
 
 
 def update_U(problem: LowemsProblem, v: np.ndarray) -> np.ndarray:
     """Exact minimizer of the objective over ``U`` with ``V = v`` fixed."""
-    return _factor_update(problem, v, side="U")[0]
+    v = _fixed_factor(problem, v, "U")
+    return _ridge_solve(problem, *_normal_equations(problem)(v, "U")[:2])
 
 
-def _factor_update(
-    problem: LowemsProblem,
-    fixed: np.ndarray,
-    side: str,
-    system: Callable | None = None,
-    start: np.ndarray | None = None,
-) -> tuple[np.ndarray, float, float | None]:
-    """The minimizing ``side`` factor and the data-fit term (no ridge) of the
-    pair it forms with ``fixed``, from the batch of normal equations
-    ``gram[k] @ x[k] = rhs[k]`` and misfit function that ``system``, the
-    builder of :func:`_normal_equations`, gives; without it one is made here.
-    Given ``start``, the current ``side`` factor, the full objective of the
-    pair it forms with ``fixed`` is read from the same misfit function before
-    the system is solved, and returned third (else ``None``); a non-finite
-    one raises :class:`DivergenceError`."""
+def _fixed_factor(problem: LowemsProblem, fixed: np.ndarray, side: str) -> np.ndarray:
+    """``fixed`` as floats, refused unless it is the factor the ``side``
+    update holds fixed: ``(n1, rank)`` for V, ``(n2, rank)`` for U."""
     fixed = np.asarray(fixed, dtype=float)
-    obs, rank = problem.obs, problem.rank
-    n_in, n_out = (obs.n1, obs.n2) if side == "V" else (obs.n2, obs.n1)
-    if fixed.shape != (n_in, rank):
-        raise ValueError(
-            f"fixed factor has shape {fixed.shape}, expected {(n_in, rank)}"
-        )
-    gram, rhs, misfit = (system or _normal_equations(problem))(fixed, side, n_out)
-    initial = None
-    if start is not None:
-        pair = FactorPair(start, fixed) if side == "U" else FactorPair(fixed, start)
-        initial = _with_ridge(problem, misfit(start), pair.U, pair.V)
-        if not np.isfinite(initial):
-            raise DivergenceError("initial objective is non-finite", pair, [])
+    expected = (problem.obs.n1 if side == "V" else problem.obs.n2, problem.rank)
+    if fixed.shape != expected:
+        raise ValueError(f"fixed factor has shape {fixed.shape}, expected {expected}")
+    return fixed
+
+
+def _ridge_solve(problem: LowemsProblem, gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The factor solving the batch ``gram[k] @ x[k] = rhs[k]`` of a builder
+    with ``2 * gamma`` added to each Gram diagonal (in place)."""
     if problem.gamma > 0.0:
         diag = np.arange(gram.shape[-1])
         gram[:, diag, diag] += 2.0 * problem.gamma
-    kind = "per-row" if obs.variant == "sampling" else "stacked"
-    factor = _solve_systems(gram, rhs, kind).reshape(n_out, rank)
-    return factor, misfit(factor), initial
+    kind = "per-row" if problem.obs.variant == "sampling" else "stacked"
+    return _solve_systems(gram, rhs, kind).reshape(-1, problem.rank)
 
 
 def _normal_equations(problem: LowemsProblem) -> Callable:
-    """The variant's ``build(fixed, side, n_out) -> (gram, rhs, misfit)``,
+    """The variant's ``build(fixed, side) -> (gram, rhs, misfit)``,
     holding what every half-sweep of a solve shares: for sampling, the merged
     weights ``c[i, j] = sum w_t`` and ``b[i, j] = sum w_t * y`` of the live
     bins' observations of entry ``(i, j)``, dense ``(n1, n2)`` arrays summed
@@ -259,7 +244,7 @@ def _normal_equations(problem: LowemsProblem) -> Callable:
 
 
 def _sampling_system(
-    live: list, c: np.ndarray, b: np.ndarray, fixed: np.ndarray, side: str, n_out: int
+    live: list, c: np.ndarray, b: np.ndarray, fixed: np.ndarray, side: str
 ) -> tuple:
     """Per-row normal equations for the sampling variant, from the merged
     ``c`` and ``b`` in the weighted-ALS form (Hu, Koren and Volinsky, 2008):
@@ -274,7 +259,7 @@ def _sampling_system(
         c, b = c.T, b.T
     r = fixed.shape[1]
     outer = (fixed[:, :, None] * fixed[:, None, :]).reshape(-1, r * r)
-    gram = (c @ outer).reshape(n_out, r, r)
+    gram = (c @ outer).reshape(-1, r, r)
 
     def misfit(x: np.ndarray) -> float:
         product = check_matrix(fixed @ x.T if side == "V" else x @ fixed.T, "x")
@@ -285,7 +270,7 @@ def _sampling_system(
 
 
 def _sensing_system(
-    live: list, buffer: np.ndarray, y: np.ndarray, fixed: np.ndarray, side: str, n_out: int
+    live: list, buffer: np.ndarray, y: np.ndarray, fixed: np.ndarray, side: str
 ) -> tuple:
     """The stacked normal equations of the dense sensing variant, a batch of
     one ``(k, k)`` system with ``k = n_out * rank``, in one pass over the
@@ -302,6 +287,7 @@ def _sensing_system(
     residual ``D x - y``.  The Gram matrix is allocated only after the pass
     has freed its last block.
     """
+    n_out = live[0][1].n2 if side == "V" else live[0][1].n1
     k = n_out * fixed.shape[1]
     design = buffer[: y.size * k].reshape(y.size, n_out, -1)
     offset = 0
@@ -342,7 +328,7 @@ def _solve_systems(gram: np.ndarray, rhs: np.ndarray, kind: str) -> np.ndarray:
         warnings.warn(
             f"singular {kind} system; using minimum-norm solve",
             RankDeficiencyWarning,
-            stacklevel=4,  # _solve_systems, _factor_update, solve/update_*, caller
+            stacklevel=4,  # _solve_systems, _ridge_solve, solve/update_*, caller
         )
         for k in fallback:
             out[k] = np.linalg.lstsq(gram[k], rhs[k], rcond=None)[0]
@@ -396,20 +382,23 @@ def solve(
         raise ValueError(f"tol must be {NONNEGATIVE}")
     pair = init_factors(problem, init, rng)
     u, v = pair.U, pair.V
-    system = _normal_equations(problem)
+    build = _normal_equations(problem)
     current, trace = None, []
     for iterations in range(1, max_sweeps + 1):
         sweep_start = current
         stagnated = False
         for side in ("U", "V"):
-            factor, misfit, initial = _factor_update(
-                problem, v if side == "U" else u, side, system, u if current is None else None
-            )
-            if initial is not None:  # the first system also gives the starting objective
-                current = sweep_start = initial
+            gram, rhs, misfit = build(v if side == "U" else u, side)
+            if current is None:  # the first system also prices the starting pair
+                current = sweep_start = _with_ridge(problem, misfit(u), u, v)
+                if not np.isfinite(current):
+                    raise DivergenceError("initial objective is non-finite", pair, [])
                 trace.append(current)
+            factor = _ridge_solve(problem, gram, rhs)
+            del gram, rhs  # the next half-sweep's assembly must not hold this Gram too
             cand_u, cand_v = (factor, v) if side == "U" else (u, factor)
-            cand_obj = _with_ridge(problem, misfit, cand_u, cand_v)
+            fit = misfit(factor)
+            cand_obj = _with_ridge(problem, fit, cand_u, cand_v)
             if not np.isfinite(cand_obj):
                 raise DivergenceError(
                     "objective became non-finite", FactorPair(u, v), trace
@@ -423,9 +412,9 @@ def solve(
         converged = stagnated or sweep_start - current <= tol * max(abs(sweep_start), 1e-300)
         if converged or iterations == max_sweeps:
             break
-        if problem.gamma > 0.0:  # the last accepted half-sweep was V's: misfit is the pair's
+        if problem.gamma > 0.0:  # the last accepted half-sweep was V's: fit is the pair's
             bal_u, bal_v = _balance(u, v)
-            balanced = _with_ridge(problem, misfit, bal_u, bal_v)
+            balanced = _with_ridge(problem, fit, bal_u, bal_v)
             if balanced < current:
                 u, v, current = bal_u, bal_v, balanced
     x_hat = u @ v.T

@@ -10,6 +10,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,22 @@ class TestExitCodes:
         )
         assert code == 1
         assert "cannot load bundle" in err and "time bin 1" in err
+
+    def test_non_integer_bundle_indices_rejected_on_load(self, capsys, bundle_path, tmp_path):
+        # 0.5 past each index would truncate back to it if read as int64
+        with np.load(bundle_path) as data:
+            payload = dict(data)
+        payload["rows_0"] = payload["rows_0"] + 0.5
+        bad = tmp_path / "float_rows.npz"
+        np.savez(bad, **payload)
+        code, _, err = _run(
+            capsys,
+            ["solve", "--bundle", str(bad), "--weights", "equal", "--rank", "2",
+             "--out-x", str(tmp_path / "x.csv")],
+        )
+        assert code == 1
+        assert f"cannot load bundle {bad}: rows/cols must hold integers" in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_truncated_bundle_is_usage_error(self, capsys, bundle_path, tmp_path):
         raw = bundle_path.read_bytes()
@@ -589,6 +606,34 @@ class TestRatingsPipeline:
         assert code == 1
         assert ("lowems: error: --test-frac 0.12: no test rating's user and item "
                 "both appear in training") in err
+        assert not out.exists()
+
+    def test_cv_refuses_folds_with_nothing_to_score(self, capsys, monkeypatch, tmp_path):
+        # the last bin's non-test ratings are users 3 and 4's only ones, so no
+        # CV fold has a validation rating whose user has a training rating
+        path = tmp_path / "r.csv"
+        path.write_text(
+            "user_id,item_id,rating,timestamp\n1,1,3.0,1\n2,1,4.0,2\n1,2,2.0,3\n"
+            "2,2,5.0,4\n3,1,3.5,8\n4,2,4.5,9\n1,1,3.2,10\n"
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve called")
+
+        monkeypatch.setattr(ratings, "solve", refuse)
+        out = tmp_path / "cv.csv"
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            code, _, err = _run(
+                capsys,
+                ["ratings", "cv", "--in", str(path), "--d", "2", "--rank", "1",
+                 "--kappa-grid", "0,1", "--folds", "2", "--test-frac", "0.12",
+                 "--out", str(out), "--seed", "1"],
+            )
+        assert code == 1
+        assert ("lowems: error: --folds 2, --test-frac 0.12: no CV fold has a validation "
+                "rating whose user and item both appear in its training rows") in err
+        assert [str(w.message) for w in record] == []
         assert not out.exists()
 
     def test_cv_accepts_an_empty_test_split(self, capsys, ratings_csv, tmp_path):

@@ -248,6 +248,36 @@ class TestSamplingOperator:
         with pytest.raises(ValueError):
             SamplingOperator(2, 2, rows=np.array([0, 1]), cols=np.array([0]))
 
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            (np.array([0.9, 1.5, 2.7]), np.array([0.2, 1.9, 2.0])),
+            ([0.0, 1.0], [0, 1]),
+            (np.array([True, False]), np.array([0, 1])),
+            (np.array([0, 1]), np.array([True, False])),
+        ],
+        ids=["fractional", "integral-floats", "bool-rows", "bool-cols"],
+    )
+    def test_non_integer_indices_refused(self, rows, cols):
+        # int64 conversion would truncate 0.9 to 0 and read a boolean as 0 or 1
+        with pytest.raises(ValueError, match="rows/cols must hold integers"):
+            SamplingOperator(3, 3, rows, cols)
+
+    def test_any_integer_dtype_accepted(self):
+        for rows, cols in [
+            (np.array([0, 2], np.int32), np.array([1, 0], np.int32)),
+            (np.array([0, 2], np.uint8), np.array([1, 0], np.uint64)),
+            ([0, 2], [1, 0]),
+        ]:
+            op = SamplingOperator(3, 2, rows, cols)
+            assert op.rows.dtype == op.cols.dtype == np.int64
+            assert op.rows.tolist() == [0, 2] and op.cols.tolist() == [1, 0]
+
+    def test_empty_or_mismatched_indices_keep_their_message(self):
+        for rows, cols in [([], []), (np.array([0, 1]), np.array([0])), ([0.5], [])]:
+            with pytest.raises(ValueError, match="equal-length nonempty 1-D arrays"):
+                SamplingOperator(2, 2, rows, cols)
+
 
 def test_make_operator_validation():
     with pytest.raises(ValueError):

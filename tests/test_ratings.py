@@ -1,6 +1,7 @@
 import csv
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from lowems import ratings
 from lowems.core import RandomStream
+from lowems.solver import DivergenceError
 from lowems.ratings import (
     BIN_WIDTH,
     EmptyResultError,
@@ -41,6 +43,14 @@ def _bin_rows(binned, t):
 UNSCORABLE = [
     (1, 1, 1.0, 1), (1, 2, 2.0, 2), (2, 1, 3.0, 3), (2, 2, 4.0, 4), (3, 1, 5.0, 5),
     (3, 2, 6.0, 6), (1, 1, 7.0, 7), (2, 2, 8.0, 8), (9, 1, 9.0, 9),
+]
+
+# The latest rating is the test split at test_frac 0.12, and the last bin's
+# other ratings are users 3 and 4's only ones: at RandomStream(1).child(0)
+# neither CV fold has a validation rating whose user has a training rating.
+NO_SCOREABLE_FOLD = [
+    (1, 1, 3.0, 1), (2, 1, 4.0, 2), (1, 2, 2.0, 3), (2, 2, 5.0, 4), (3, 1, 3.5, 8),
+    (4, 2, 4.5, 9), (1, 1, 3.2, 10),
 ]
 
 
@@ -439,6 +449,45 @@ class TestCrossValidation:
         assert len(fits) == 2  # one per kappa on the scored fold
         assert [(row.kappa, row.std) for row in cv.rows] == [(0.0, 0.0), (1.0, 0.0)]
         assert all(math.isfinite(row.mean_val_rmse) for row in cv.rows)
+
+    def test_no_fold_with_anything_to_score_is_refused_before_any_fit(
+        self, tmp_path, monkeypatch
+    ):
+        binned = bin_by_time(ingest(_write_csv(tmp_path / "r.csv", NO_SCOREABLE_FOLD)), 2)
+        folds = make_split(binned, RandomStream(1).child(0), test_frac=0.12, folds=2)
+        assert [fold[1].size for fold in folds] == [1, 1]
+        assert [ratings._training_set(binned, fold)[1].size for fold in folds] == [0, 0]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve called")
+
+        monkeypatch.setattr(ratings, "solve", refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no per-kappa warning either
+            with pytest.raises(EmptyResultError, match="no CV fold has a validation rating"):
+                cross_validate_kappa(
+                    binned, folds, [0.0, 1.0], FitConfig(rank=1), RandomStream(1).child(1)
+                )
+
+    def test_every_fit_diverging_is_a_runtime_failure(self, tmp_path, monkeypatch):
+        binned = bin_by_time(ingest(_write_csv(tmp_path / "r.csv", UNSCORABLE)), 2)
+        folds = make_split(binned, RandomStream(1).child(0), test_frac=0.12, folds=2)
+
+        def diverge(problem, **kwargs):
+            raise DivergenceError("objective became non-finite", None, [])
+
+        monkeypatch.setattr(ratings, "solve", diverge)
+        with pytest.warns(RuntimeWarning) as record:
+            with pytest.raises(RuntimeError, match="failed for every kappa") as caught:
+                cross_validate_kappa(
+                    binned, folds, [0.0, 1.0], FitConfig(rank=1), RandomStream(1).child(1)
+                )
+        assert not isinstance(caught.value, EmptyResultError)
+        assert [str(w.message) for w in record] == [
+            "fold 0 diverged at kappa=0.0; skipping", "fold 0 diverged at kappa=1.0; skipping",
+            "kappa=0.0 produced no usable folds; excluded",
+            "kappa=1.0 produced no usable folds; excluded",
+        ]
 
     def test_empty_grid_rejected(self):
         table, _ = synthetic_ratings(

@@ -22,10 +22,11 @@ from lowems.measurement import GaussianOperator, ObservationSet, make_operator, 
 from lowems.solver import (
     LowemsProblem,
     RankDeficiencyWarning,
-    _factor_update,
     _normal_equations,
+    _ridge_solve,
     _solve_systems,
     solve,
+    update_V,
     weighted_misfit,
 )
 from lowems.weights import WeightVector
@@ -100,6 +101,14 @@ def _problem(store, gamma, *, n1=6, n2=5, rank=2, ms=(40, 40, 40), seed=0):
     return LowemsProblem(ObservationSet(tuple(ops), tuple(y), 0.05), weights, rank, gamma=gamma)
 
 
+def _half_sweep(problem, fixed, side, build=None):
+    """The ``side`` factor and its misfit as a half-sweep of :func:`solve`
+    makes them, from ``build`` or from a fresh builder."""
+    gram, rhs, misfit = (build or _normal_equations(problem))(fixed, side)
+    factor = _ridge_solve(problem, gram, rhs)
+    return factor, misfit(factor)
+
+
 def _fixed(problem, side, seed):
     n_in = problem.obs.n1 if side == "V" else problem.obs.n2
     return RandomStream(seed).generator().standard_normal((n_in, problem.rank))
@@ -113,7 +122,7 @@ def test_update_matches_einsum_oracle(small_blocks, store, gamma, side):
     for seed, ms in itertools.product(range(3), [(40, 40, 40), (40, 23, 31)]):
         problem = _problem(store, gamma, ms=ms, seed=seed)
         fixed = _fixed(problem, side, seed + 10)
-        got, misfit, _ = _factor_update(problem, fixed, side)
+        got, misfit = _half_sweep(problem, fixed, side)
         want = reference_sensing_update(problem, fixed, side)
         np.testing.assert_allclose(got, want, rtol=1e-12)
         u, v = (fixed, got) if side == "V" else (got, fixed)
@@ -126,8 +135,8 @@ def test_update_matches_einsum_oracle(small_blocks, store, gamma, side):
 def test_stored_and_replay_updates_are_bit_identical(small_blocks, side):
     stored, replay = _problem(True, 0.1), _problem(False, 0.1)
     fixed = _fixed(stored, side, 4)
-    got_stored, misfit_stored, _ = _factor_update(stored, fixed, side)
-    got_replay, misfit_replay, _ = _factor_update(replay, fixed, side)
+    got_stored, misfit_stored = _half_sweep(stored, fixed, side)
+    got_replay, misfit_replay = _half_sweep(replay, fixed, side)
     np.testing.assert_array_equal(got_stored, got_replay)
     assert misfit_stored == misfit_replay
 
@@ -140,13 +149,13 @@ def test_update_bits_do_not_depend_on_the_cpu_count(small_blocks, monkeypatch, s
     # in turn, later passes on the pool, into a fresh or a reused design
     stored = _problem(True, 0.1)
     fixed = _fixed(stored, side, 4)
-    want, want_misfit, _ = _factor_update(stored, fixed, side)
+    want, want_misfit = _half_sweep(stored, fixed, side)
     monkeypatch.setattr(measurement, "_workers", lambda: workers)
     replay = _problem(False, 0.1)
     for problem in (stored, replay):
         built = _normal_equations(problem)
-        for system in (None, built, built):
-            got, misfit, _ = _factor_update(problem, fixed, side, system)
+        for build in (None, built, built):
+            got, misfit = _half_sweep(problem, fixed, side, build)
             np.testing.assert_array_equal(got, want)
             assert misfit == want_misfit
 
@@ -173,8 +182,9 @@ def test_one_operator_pass_per_half_sweep(monkeypatch):
     assert len(calls) == 1 + 2 * 3
 
 
-def _update_peak(monkeypatch, store, bins):
-    """tracemalloc peak of one V-side update, with the sizes it is bounded by.
+def _update_peak(monkeypatch, store, bins, run=update_V):
+    """tracemalloc peak of one V-side update (or of ``run`` on the same
+    problem and fixed factor), with the sizes it is bounded by.
 
     30x40, rank 4: k = 160 unknowns, so a (k, k) array (205 kB) outweighs an
     8-row block (77 kB); m = 60 spans eight blocks per bin."""
@@ -192,7 +202,7 @@ def _update_peak(monkeypatch, store, bins):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _factor_update(problem, fixed, "V")
+        run(problem, fixed)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -205,6 +215,18 @@ def test_update_holds_the_designs_and_one_block_or_gram(monkeypatch, store, bins
     # the live bins' designs share one buffer, and the one Gram is allocated
     # after the pass has freed its last block, whatever the bin count
     peak, design, block, gram = _update_peak(monkeypatch, store, bins)
+    assert peak <= bins * design + max(block, gram) + gram // 4
+
+
+@pytest.mark.parametrize("bins", [1, 3])
+@pytest.mark.parametrize("store", [True, False])
+def test_solve_holds_the_designs_and_one_block_or_gram(monkeypatch, store, bins):
+    # the same bound over two sweeps: a half-sweep's Gram is freed before the
+    # next half-sweep's pass, so two Grams are never held at once
+    def two_sweeps(problem, fixed):
+        solve(problem, max_sweeps=2, tol=0.0)
+
+    peak, design, block, gram = _update_peak(monkeypatch, store, bins, two_sweeps)
     assert peak <= bins * design + max(block, gram) + gram // 4
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,10 +40,14 @@ def _planted_problem(
     kappa=None,
     seed=100,
     max_entry=None,
+    store=True,
 ):
     root = RandomStream(seed)
     truth = generate_truth(n1, n2, rank, d, drift_std, root.child(0))
-    ops = [make_operator(variant, n1, n2, m0, root.child(1).child(t)) for t in range(d)]
+    ops = [
+        make_operator(variant, n1, n2, m0, root.child(1).child(t), store=store)
+        for t in range(d)
+    ]
     obs = observe(ops, truth, noise_std, root.child(2))
     if kappa is None:
         kappa = 0.0 if drift_std == 0 else (drift_std / max(noise_std, 1e-12)) ** 2
@@ -127,6 +132,36 @@ class TestFactorUpdates:
             gamma, (6, 2),
         )
         np.testing.assert_allclose(u_hat, u_ref, rtol=1e-8, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "variant, store", [("sampling", True), ("gaussian", True), ("gaussian", False)],
+        ids=["sampling", "stored", "replay"],
+    )
+    @pytest.mark.parametrize("gamma", [0.0, 0.2])
+    def test_one_sweep_solve_is_update_U_then_update_V(self, variant, store, gamma):
+        problem, _ = _planted_problem(
+            variant=variant, m0=60, noise_std=0.1, gamma=gamma, seed=240, store=store
+        )
+        start = init_factors(problem)
+        u = update_U(problem, start.V)
+        v = update_V(problem, u)
+        sol = solve(problem, max_sweeps=1, tol=0.0)
+        np.testing.assert_array_equal(sol.factors.U, u)
+        np.testing.assert_array_equal(sol.factors.V, v)
+        assert len(sol.objective_trace) == 3
+
+    @pytest.mark.parametrize("variant", ["sampling", "gaussian"])
+    def test_update_refuses_a_misshaped_fixed_factor(self, variant):
+        # n1 = 12, n2 = 10, rank 2: wrong row count (the other factor's), wrong rank
+        problem, _ = _planted_problem(variant=variant, m0=60, seed=241)
+        cases = [
+            (update_V, (10, 2), (12, 2)), (update_V, (12, 3), (12, 2)),
+            (update_U, (12, 2), (10, 2)), (update_U, (10, 1), (10, 2)),
+        ]
+        for update, shape, expected in cases:
+            message = f"fixed factor has shape {shape}, expected {expected}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                update(problem, np.ones(shape))
 
     def test_update_is_exact_block_minimizer(self):
         problem, _ = _planted_problem(seed=202, noise_std=0.05, drift_std=0.1)
@@ -376,22 +411,28 @@ class TestBalance:
 
 class TestStopState:
     """``converged``, ``iterations`` and the trace length for each way
-    :func:`solve` stops.  The scripted runs replace each half-sweep's misfit
-    by a given multiple of the initial objective (``gamma = 0``, so the misfit
-    is the objective), and the first one reports that objective itself; the
-    factors are still the real updates."""
+    :func:`solve` stops.  The scripted runs replace the builder's misfit
+    function (``gamma = 0``, so the misfit is the objective): its first call,
+    which prices the starting pair, returns the initial objective itself, and
+    each later call, one per half-sweep, a given multiple of it; the factors
+    are still the real updates."""
 
     @staticmethod
     def _scripted(monkeypatch, problem, ratios):
         start = objective(problem, init_factors(problem))
-        script = iter(ratios)
-        real = solver_module._factor_update
+        script = iter([1.0, *ratios])
+        real = solver_module._normal_equations
 
-        def update(problem, fixed, side, system=None, start_factor=None):
-            factor = real(problem, fixed, side)[0]
-            return factor, next(script) * start, None if start_factor is None else start
+        def normal_equations(problem):
+            build = real(problem)
 
-        monkeypatch.setattr(solver_module, "_factor_update", update)
+            def scripted(fixed, side):
+                gram, rhs, _ = build(fixed, side)
+                return gram, rhs, lambda x: next(script) * start
+
+            return scripted
+
+        monkeypatch.setattr(solver_module, "_normal_equations", normal_equations)
         return start
 
     def test_scripted_tolerance_stop(self, monkeypatch):
