@@ -27,6 +27,7 @@ same format.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -113,7 +114,7 @@ def check_matrix(m, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
     if a.size == 0:
         raise ValueError(f"{name} must be nonempty")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -125,9 +126,10 @@ def check_rank(rank: int, n1: int, n2: int) -> None:
 
 
 def frobenius_norm(m) -> float:
-    """Square root of the sum of squared entries."""
-    a = np.asarray(m, dtype=float)
-    return float(np.linalg.norm(a.ravel()))
+    """Square root of the sum of squared entries, summed in C order: the
+    operations of ``np.linalg.norm(a.ravel())`` without its wrapper."""
+    x = np.asarray(m, dtype=float).ravel()
+    return math.sqrt(float(x @ x))
 
 
 def top_r_svd(m, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

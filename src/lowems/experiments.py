@@ -268,11 +268,16 @@ def run_sample_sweep(cfg: SweepConfig) -> SweepResult:
     Scans the density grid in ascending order and stops at the first point
     whose mean relative error over the trials is below
     ``cfg.success_threshold`` (recovery only improves with more samples, so
-    the first success is the minimum).  Datasets are keyed by
+    the first success is the minimum).  Errors are nonnegative and a diverged
+    trial only shrinks the count, so a density fails, and runs no more
+    trials, once its errors so far sum past ``success_threshold * trials``;
+    ``traces`` holds the solves that ran.  Datasets are keyed by
     (drift index, density index, trial), shared across strategies.
     """
     p_grid = cfg.p_grid if cfg.p_grid is not None else default_p_grid()
     root = RandomStream(cfg.seed)
+    # the margin keeps rounding from ever deciding against _aggregate's mean
+    decided = cfg.success_threshold * cfg.trials * (1.0 + 1e-9)
     lanes = [
         (si, strategy)
         for si in range(len(cfg.drift_grid))
@@ -285,7 +290,7 @@ def run_sample_sweep(cfg: SweepConfig) -> SweepResult:
         traces: list[np.ndarray] = []
         for pi, p in enumerate(p_grid):
             m0 = max(1, round(p * cfg.n1 * cfg.n2))
-            values = []
+            values, total = [], 0.0
             for ti in range(cfg.trials):
                 stream = root.child(si).child(pi).child(ti)
                 truth, obs = _cell_data(cfg, drift, m0, stream)
@@ -294,9 +299,13 @@ def run_sample_sweep(cfg: SweepConfig) -> SweepResult:
                 )
                 traces.extend(cell_traces)
                 values.append(errors[strategy])
-            mean, _, n = _aggregate(values)
-            if n > 0 and mean <= cfg.success_threshold:
-                return MinSampleRow(float(drift), strategy, float(p)), traces
+                total += errors[strategy] or 0.0
+                if total > decided:
+                    break  # the mean already exceeds the threshold
+            else:
+                mean, _, n = _aggregate(values)
+                if n > 0 and mean <= cfg.success_threshold:
+                    return MinSampleRow(float(drift), strategy, float(p)), traces
         return MinSampleRow(float(drift), strategy, None), traces
 
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:

@@ -21,24 +21,26 @@ more sweeps.
 Each half-sweep of :func:`solve` drives the builder that
 :func:`_normal_equations` makes once per solve: it assembles the normal
 equations as a batch of systems plus a function giving the candidate's
-misfit, and :func:`_ridge_solve` adds the ridge and solves.  Sampling gives
-one tiny system per output row; all rows come from one GEMM of dense merged
-weights (two ``n1 * n2`` arrays) held by the builder, so its cost follows
-``n1 * n2`` rather than the observation count.  Dense sensing gives one
-stacked system in ``n * rank`` unknowns, the least-squares fit of one
-weighted composite operator (the live bins' ``sqrt(w_t) * A_t`` stacked),
-from one pass over the operator.  Its design rows are one BLAS matmul per
-drawn piece, run on the thread that drew it, into one buffer the builder
-holds (``m * max(n1, n2) * rank`` floats for ``m`` live measurements); the
-Gram, right-hand side and misfit are each one product of it, so no block
-is produced twice and no half-sweep faults its design in again.  The first
-half-sweep's misfit function also gives the starting objective, so a solve
-makes one pass per half-sweep, plus one for a spectral init.  Replay-mode
-operators never materialize their sensing stack.
+misfit, and :func:`_ridge_solve` adds the ridge and solves (a finite batched
+solve is used as it is; only singular systems pay for the fallback).
+Sampling gives one tiny system per output row; all rows come from one GEMM
+of dense merged weights (two ``n1 * n2`` arrays) held by the builder, so its
+cost follows ``n1 * n2`` rather than the observation count.  Dense sensing
+gives one stacked system in ``n * rank`` unknowns, the least-squares fit of
+one weighted composite operator (the live bins' ``sqrt(w_t) * A_t``
+stacked), from one pass over the operator.  Its design rows are one BLAS
+matmul per drawn piece, run on the thread that drew it, into one buffer the
+builder holds (``m * max(n1, n2) * rank`` floats for ``m`` live
+measurements); the Gram, right-hand side and misfit are each one product of
+it, so no block is produced twice and no half-sweep faults its design in
+again.  The first half-sweep's misfit function also gives the starting
+objective, so a solve makes one pass per half-sweep, plus one for a
+spectral init.  Replay-mode operators never materialize their sensing stack.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -122,7 +124,9 @@ class Solution:
     after optional entry clipping.  ``objective_trace`` has the initial
     objective followed by one value per accepted half-sweep; ``iterations``
     counts completed full sweeps.  ``clip_applied`` reports whether the
-    ``max_entry`` bound actually changed any entry.
+    ``max_entry`` bound actually changed any entry.  ``stop_reason`` is
+    ``"tol"`` or ``"stagnated"`` (``converged``) or ``"max_sweeps"``;
+    ``fallbacks`` counts the systems solved by the minimum-norm fallback.
     """
 
     factors: FactorPair
@@ -131,6 +135,8 @@ class Solution:
     iterations: int
     converged: bool
     clip_applied: bool
+    stop_reason: str | None = None
+    fallbacks: int = 0
 
 
 def weighted_misfit(obs: ObservationSet, w: np.ndarray, x: np.ndarray) -> float:
@@ -191,13 +197,13 @@ def init_factors(
 def update_V(problem: LowemsProblem, u: np.ndarray) -> np.ndarray:
     """Exact minimizer of the objective over ``V`` with ``U = u`` fixed."""
     u = _fixed_factor(problem, u, "V")
-    return _ridge_solve(problem, *_normal_equations(problem)(u, "V")[:2])
+    return _ridge_solve(problem, *_normal_equations(problem)(u, "V")[:2])[0]
 
 
 def update_U(problem: LowemsProblem, v: np.ndarray) -> np.ndarray:
     """Exact minimizer of the objective over ``U`` with ``V = v`` fixed."""
     v = _fixed_factor(problem, v, "U")
-    return _ridge_solve(problem, *_normal_equations(problem)(v, "U")[:2])
+    return _ridge_solve(problem, *_normal_equations(problem)(v, "U")[:2])[0]
 
 
 def _fixed_factor(problem: LowemsProblem, fixed: np.ndarray, side: str) -> np.ndarray:
@@ -210,14 +216,15 @@ def _fixed_factor(problem: LowemsProblem, fixed: np.ndarray, side: str) -> np.nd
     return fixed
 
 
-def _ridge_solve(problem: LowemsProblem, gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _ridge_solve(problem: LowemsProblem, gram: np.ndarray, rhs: np.ndarray) -> tuple:
     """The factor solving the batch ``gram[k] @ x[k] = rhs[k]`` of a builder
-    with ``2 * gamma`` added to each Gram diagonal (in place)."""
+    with ``2 * gamma`` added to each Gram diagonal (in place), and its fallback count."""
     if problem.gamma > 0.0:
         diag = np.arange(gram.shape[-1])
         gram[:, diag, diag] += 2.0 * problem.gamma
     kind = "per-row" if problem.obs.variant == "sampling" else "stacked"
-    return _solve_systems(gram, rhs, kind).reshape(-1, problem.rank)
+    out, fallbacks = _solve_systems(gram, rhs, kind)
+    return out.reshape(-1, problem.rank), fallbacks
 
 
 def _normal_equations(problem: LowemsProblem) -> Callable:
@@ -252,9 +259,10 @@ def _sampling_system(
     ``c`` and ``b`` read transposed (views) for V.  That costs
     ``n1 * n2 * rank**2`` multiply-adds whatever the number of observations,
     so it pays on densely sampled problems.  Unobserved rows keep an exactly
-    zero Gram matrix.  The misfit reads each live bin through its operator's
-    ``flat`` positions; unlike :func:`weighted_misfit`, which scans the
-    product for non-finite entries once per bin, it scans once per product."""
+    zero Gram matrix.  The misfit scans the product for non-finite entries
+    once, not once per bin, then reads each live bin through its operator's
+    ``flat`` positions and adds ``w_t * ||r_t||^2`` left to right from 0.0 in
+    a plain loop, as :func:`weighted_misfit` does: the same bits."""
     if side == "V":
         c, b = c.T, b.T
     r = fixed.shape[1]
@@ -263,8 +271,11 @@ def _sampling_system(
 
     def misfit(x: np.ndarray) -> float:
         product = check_matrix(fixed @ x.T if side == "V" else x @ fixed.T, "x")
-        res = ((w_t, product.take(op.flat) - y_t) for w_t, op, y_t in live)
-        return 0.5 * sum(w_t * float(r_t @ r_t) for w_t, r_t in res)
+        total = 0.0
+        for w_t, op, y_t in live:
+            r_t = product.take(op.flat) - y_t
+            total += w_t * float(r_t @ r_t)
+        return 0.5 * total
 
     return gram, b @ fixed, misfit
 
@@ -310,14 +321,17 @@ def _sensing_system(
     return (design.T @ design)[None], (design.T @ y)[None], misfit
 
 
-def _solve_systems(gram: np.ndarray, rhs: np.ndarray, kind: str) -> np.ndarray:
-    """Solve the batch ``gram[k] @ x[k] = rhs[k]`` in one call.  Singular
-    systems (only possible without ridge) and systems with a non-finite
-    solution are solved by minimum-norm least squares, one at a time, with
-    one warning per call; the others stay in one batched solve."""
-    regular = np.ones(len(rhs), dtype=bool)
+def _solve_systems(gram: np.ndarray, rhs: np.ndarray, kind: str) -> tuple[np.ndarray, int]:
+    """Solve the batch ``gram[k] @ x[k] = rhs[k]`` in one call; returns the
+    solutions and how many fell back.  A finite batched solve is returned as
+    it is.  Otherwise singular systems (only possible without ridge) and
+    systems with a non-finite solution are solved by minimum-norm least
+    squares, one at a time, with one warning per call; the rest stay batched."""
     try:
         out = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+        if np.isfinite(out).all():
+            return out, 0
+        regular = np.ones(len(rhs), dtype=bool)
     except np.linalg.LinAlgError:
         # a zero sign marks an exactly zero LU pivot: the systems gesv rejects
         regular = np.linalg.slogdet(gram)[0] != 0.0
@@ -332,7 +346,7 @@ def _solve_systems(gram: np.ndarray, rhs: np.ndarray, kind: str) -> np.ndarray:
         )
         for k in fallback:
             out[k] = np.linalg.lstsq(gram[k], rhs[k], rcond=None)[0]
-    return out
+    return out, fallback.size
 
 
 def _balance(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -383,34 +397,33 @@ def solve(
     pair = init_factors(problem, init, rng)
     u, v = pair.U, pair.V
     build = _normal_equations(problem)
-    current, trace = None, []
+    current, trace, fallbacks = None, [], 0
     for iterations in range(1, max_sweeps + 1):
-        sweep_start = current
-        stagnated = False
+        sweep_start, stop = current, None
         for side in ("U", "V"):
             gram, rhs, misfit = build(v if side == "U" else u, side)
             if current is None:  # the first system also prices the starting pair
                 current = sweep_start = _with_ridge(problem, misfit(u), u, v)
-                if not np.isfinite(current):
+                if not math.isfinite(current):
                     raise DivergenceError("initial objective is non-finite", pair, [])
                 trace.append(current)
-            factor = _ridge_solve(problem, gram, rhs)
+            factor, fell_back = _ridge_solve(problem, gram, rhs)
+            fallbacks += fell_back
             del gram, rhs  # the next half-sweep's assembly must not hold this Gram too
             cand_u, cand_v = (factor, v) if side == "U" else (u, factor)
             fit = misfit(factor)
             cand_obj = _with_ridge(problem, fit, cand_u, cand_v)
-            if not np.isfinite(cand_obj):
-                raise DivergenceError(
-                    "objective became non-finite", FactorPair(u, v), trace
-                )
+            if not math.isfinite(cand_obj):
+                raise DivergenceError("objective became non-finite", FactorPair(u, v), trace)
             if cand_obj > current:
-                stagnated = True
+                stop = "stagnated"
                 break
             u, v = cand_u, cand_v
             current = cand_obj
             trace.append(current)
-        converged = stagnated or sweep_start - current <= tol * max(abs(sweep_start), 1e-300)
-        if converged or iterations == max_sweeps:
+        if stop is None and sweep_start - current <= tol * max(abs(sweep_start), 1e-300):
+            stop = "tol"
+        if stop or iterations == max_sweeps:
             break
         if problem.gamma > 0.0:  # the last accepted half-sweep was V's: fit is the pair's
             bal_u, bal_v = _balance(u, v)
@@ -428,6 +441,8 @@ def solve(
         X_hat=x_hat,
         objective_trace=np.asarray(trace),
         iterations=iterations,
-        converged=converged,
+        converged=stop is not None,
         clip_applied=clip_applied,
+        stop_reason=stop or "max_sweeps",
+        fallbacks=fallbacks,
     )

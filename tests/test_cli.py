@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lowems import ratings
+from lowems import experiments, ratings
 from lowems.bundles import load_bundle
 from lowems.cli import _RANGES, _float_list, build_parser, main
 from lowems.core import RandomStream
@@ -468,6 +468,37 @@ class TestSweepCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "sigma2,strategy,min_p"
         assert lines[1].endswith("not_achieved")
+
+    @pytest.mark.filterwarnings("ignore::lowems.solver.RankDeficiencyWarning")
+    @pytest.mark.filterwarnings("ignore:solver diverged:RuntimeWarning")
+    def test_sweep_samples_csv_does_not_depend_on_threads(self, capsys, tmp_path, monkeypatch):
+        solved, real_solve = [], experiments.solve
+
+        def counted(problem, **kwargs):
+            solved.append(1)
+            return real_solve(problem, **kwargs)
+
+        monkeypatch.setattr(experiments, "solve", counted)
+        csvs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"samples{threads}.csv"
+            code, _, _ = _run(
+                capsys,
+                ["sweep-samples", "--n1", "12", "--n2", "10", "--rank", "2", "--d", "2",
+                 "--trials", "3", "--drift-grid", "0.001,0.3",
+                 "--strategies", "last_only,optimal", "--noise-std", "0.05",
+                 "--p-grid", "0.1,0.3,0.6,0.9", "--max-sweeps", "60",
+                 "--threads", threads, "--out", str(out), "--seed", "5"],
+            )
+            assert code == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+        # some density was decided before its last trial: fewer solves per
+        # run than every trial of every density the lanes scanned
+        grid = [0.1, 0.3, 0.6, 0.9]
+        min_ps = [row[2] for row in _csv_rows(tmp_path / "samples1.csv")[1:]]
+        scanned = [4 if p == "not_achieved" else grid.index(float(p)) + 1 for p in min_ps]
+        assert scanned != [1] * 4 and len(solved) // 2 < 3 * sum(scanned)
 
 
 class TestRipProbe:

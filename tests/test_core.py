@@ -72,6 +72,23 @@ class TestFrobeniusNorm:
     def test_zero_matrix(self):
         assert frobenius_norm(np.zeros((3, 3))) == 0.0
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "vector", "list"])
+    def test_same_bits_as_numpy_norm_of_the_c_order_ravel(self, layout):
+        # the entries are summed in C order whatever the memory layout, as
+        # np.linalg.norm(a.ravel()) sums them
+        gen = RandomStream(12).generator()
+        m = gen.standard_normal((300, 200)) * 10.0 ** gen.uniform(-3, 3, (300, 200))
+        m = {"C": m, "F": np.asfortranarray(m), "strided": m[::3, 1::2],
+             "vector": m[0], "list": m[:4, :3].tolist()}[layout]
+        for scale in (1.0, 1e-160, 1e150):  # plain, underflowing and overflowing squares
+            a = np.asarray(m) * scale
+            with np.errstate(over="ignore"):
+                want = float(np.linalg.norm(a.ravel()))
+                got = frobenius_norm(a)
+            assert got == want and type(got) is float
+        if layout == "C":
+            assert frobenius_norm(m) == float(np.linalg.norm(m))
+
 
 def _svd_by_deflation(m, rank, iters=3000):
     """Independent oracle: power iteration with deflation, no LAPACK."""
@@ -190,3 +207,24 @@ def test_check_matrix_rejects_bad_input():
         check_matrix(np.zeros((0, 3)))
     with pytest.raises(ValueError):
         check_matrix(np.array([np.inf]).reshape(1, 1))
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [(np.zeros(3), "x must be 2-D, got shape (3,)"),
+     (np.zeros((2, 2, 1)), "x must be 2-D, got shape (2, 2, 1)"),
+     (np.zeros((0, 3)), "x must be nonempty"),
+     ([[1.0, np.nan]], "x contains non-finite entries"),
+     ([[1.0], [-np.inf]], "x contains non-finite entries")],
+)
+def test_check_matrix_messages(value, message):
+    with pytest.raises(ValueError) as err:
+        check_matrix(value, "x")
+    assert str(err.value) == message
+
+
+def test_check_matrix_returns_a_float_array_without_copying_one():
+    a = np.arange(6.0).reshape(2, 3)
+    assert check_matrix(a) is a
+    got = check_matrix([[1, 2]])
+    assert got.dtype == np.float64 and got.tolist() == [[1.0, 2.0]]

@@ -1,5 +1,6 @@
 import csv
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from lowems.experiments import (
     strategy_weights,
     theorem_diagnostics,
 )
+from lowems.solver import DivergenceError
 from lowems.weights import WeightVector, baseline_weights, optimal_weights
 
 
@@ -229,11 +231,66 @@ class TestSampleSweep:
         monkeypatch.setattr(experiments, "solve", counting)
         cfg = _tiny_error_cfg(
             m0=None, trials=2, drift_grid=(0.1,), strategies=("equal", "last_only"),
-            p_grid=(0.9,),
+            p_grid=(0.9,), success_threshold=1e9,  # no lane decides after one trial
         )
         run_sample_sweep(cfg)
         # one solve per (lane, trial): equal weights twice, then last-only twice
         assert fitted == [[0.5, 0.5]] * 2 + [[0.0, 1.0]] * 2
+
+    @staticmethod
+    def _scripted(monkeypatch, errors):
+        """Replace each solve by the next of ``errors`` (``None``: the solve
+        diverges) and return the per-bin budget of each solve, in order."""
+        solved, script = [], iter(errors)
+
+        def scripted_solve(problem, **kwargs):
+            solved.append(problem.obs.ops[0].m)
+            error = next(script)
+            if error is None:
+                raise DivergenceError("scripted", None, [])
+            return SimpleNamespace(X_hat=error, objective_trace=np.zeros(1))
+
+        monkeypatch.setattr(experiments, "solve", scripted_solve)
+        monkeypatch.setattr(experiments, "relative_error", lambda x_hat, x: x_hat)
+        return solved
+
+    @staticmethod
+    def _scripted_cfg(trials=4, **overrides):
+        return _tiny_error_cfg(
+            m0=None, trials=trials, drift_grid=(0.0,), strategies=("equal",),
+            noise_std=0.0, max_sweeps=5, success_threshold=0.04, **overrides,
+        )
+
+    def test_a_density_is_decided_by_its_first_trial(self, monkeypatch):
+        # 10.0 > 0.04 * 4: the density fails however the other trials go
+        solved = self._scripted(monkeypatch, [10.0, 0.0, 0.0, 0.0, 0.0])
+        (row,) = run_sample_sweep(self._scripted_cfg(p_grid=(0.3, 0.9))).rows
+        assert row.min_p == 0.9
+        assert solved == [36] + [108] * 4
+
+    def test_a_diverged_trial_adds_nothing_to_the_sum(self, monkeypatch):
+        solved = self._scripted(monkeypatch, [None, 0.1, 0.1])
+        with pytest.warns(RuntimeWarning, match="diverged"):
+            res = run_sample_sweep(self._scripted_cfg(p_grid=(0.3,)))
+        assert res.rows[0].min_p is None and solved == [36] * 3
+        assert len(res.traces) == 2  # only the solves that ran
+
+    @pytest.mark.parametrize(
+        "errors, min_p",
+        [([0.0, 0.0, 0.0, 0.2], None),  # crosses 0.16 only at the last trial
+         ([0.04] * 4, 0.3),  # a sum at the bound is not decided early
+         ([0.0, 0.0, 0.16, 0.0], 0.3),
+         # summed left to right these pass 0.12 by one rounding step, but
+         # their mean is 0.04: only the margin keeps the rule from failing them
+         ([0.06296947439827162, 0.010181411291899374, 0.04684911430982901], 0.3)],
+    )
+    def test_a_sum_within_the_bound_runs_every_trial(self, monkeypatch, errors, min_p):
+        solved = self._scripted(monkeypatch, errors)
+        cfg = self._scripted_cfg(trials=len(errors), p_grid=(0.3,))
+        (row,) = run_sample_sweep(cfg).rows
+        assert solved == [36] * len(errors)
+        mean, _, _ = _aggregate(errors)
+        assert row.min_p == min_p and (mean <= 0.04) == (min_p is not None)
 
     def test_default_grid(self):
         grid = default_p_grid()

@@ -64,6 +64,8 @@ def test_every_output_has_the_manifest_bytes(recipes, manifest):
 
 def test_every_solve_stops_on_tol(recipes):
     _, _, solves = recipes
-    assert len(solves) == 28  # solve 2, sweep-error 12, sweep-samples 6, ratings 8
+    # solve 2, sweep-error 12, ratings 8, and sweep-samples 5: one of its
+    # densities is decided by its first trial, so its second is not solved
+    assert len(solves) == 27
     capped = [s for s in solves if not s[2]]
     assert not capped, f"solves that did not stop on tol: {capped}"

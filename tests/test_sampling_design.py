@@ -97,6 +97,9 @@ CASES = {
     "duplicates": dict(sizes=(120, 120, 120), w=(0.2, 0.3, 0.5)),
     "uneven_bins": dict(sizes=(15, 200, 60, 4), w=(0.1, 0.2, 0.3, 0.4)),
     "poisoned_zero_weight_bin": dict(sizes=(80, 90, 70), w=(0.0, 0.4, 0.6), poison=0),
+    "uneven_bins_one_of_zero_weight": dict(
+        sizes=(15, 200, 60, 4, 90), w=(0.1, 0.2, 0.0, 0.3, 0.4), poison=2
+    ),
     # n1 == n2: a misfit taken of the transposed product still has the right
     # shape, so only the exact misfit comparison below catches it
     "square": dict(sizes=(100, 80, 60), w=(0.2, 0.3, 0.5), n1=7, n2=7),
@@ -116,21 +119,25 @@ def test_update_matches_add_at_oracle(case, gamma):
             assert np.all(np.isfinite(got))
             np.testing.assert_allclose(got, want, rtol=1e-12)
             gram, rhs, misfit = _normal_equations(problem)(fixed, side)
-            np.testing.assert_array_equal(_ridge_solve(problem, gram, rhs), got)
+            np.testing.assert_array_equal(_ridge_solve(problem, gram, rhs)[0], got)
             u, v = (fixed, got) if side == "V" else (got, fixed)
             assert misfit(got) == weighted_misfit(problem.obs, problem.weights.w, u @ v.T)
 
 
-@pytest.mark.parametrize("gamma", [0.0, 0.3])
-def test_unobserved_row_matches_oracle(gamma):
-    # row 2 and column 3 are never sampled
+def _unobserved_problem(gamma):
+    """Rank 1 on 3 x 4, where row 2 and column 3 are never sampled."""
     rows = np.array([0, 1, 0, 1, 0, 1, 0])
     cols = np.array([0, 1, 1, 2, 2, 0, 0])
     op = SamplingOperator(3, 4, rows, cols)
     y = np.arange(1.0, 8.0)
-    problem = LowemsProblem(
+    return LowemsProblem(
         ObservationSet((op,), (y,), 0.0), WeightVector(np.array([1.0])), 1, gamma=gamma
     )
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3])
+def test_unobserved_row_matches_oracle(gamma):
+    problem = _unobserved_problem(gamma)
     for update, fixed, side in _both_sides(problem, 5):
         with warnings.catch_warnings(record=True) as got_warned:
             warnings.simplefilter("always")
@@ -143,6 +150,17 @@ def test_unobserved_row_matches_oracle(gamma):
         np.testing.assert_allclose(got, want, rtol=1e-12)
         unseen = 2 if side == "U" else 3
         assert np.all(got[unseen] == 0.0)
+
+
+@pytest.mark.parametrize("gamma, fallbacks", [(0.0, 6), (0.3, 0)])
+def test_solve_counts_the_unobserved_rows_as_fallbacks(gamma, fallbacks):
+    # without ridge each half-sweep sends its one unobserved row or column
+    # to the minimum-norm solve, and warns once for it
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        sol = solve(_unobserved_problem(gamma), max_sweeps=3, tol=0.0)
+    assert (sol.iterations, sol.stop_reason) == (3, "max_sweeps")
+    assert sol.fallbacks == fallbacks == len(warned)
 
 
 def test_design_is_built_once_per_solve(monkeypatch):

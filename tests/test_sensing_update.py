@@ -105,7 +105,7 @@ def _half_sweep(problem, fixed, side, build=None):
     """The ``side`` factor and its misfit as a half-sweep of :func:`solve`
     makes them, from ``build`` or from a fresh builder."""
     gram, rhs, misfit = (build or _normal_equations(problem))(fixed, side)
-    factor = _ridge_solve(problem, gram, rhs)
+    factor = _ridge_solve(problem, gram, rhs)[0]
     return factor, misfit(factor)
 
 
@@ -260,15 +260,64 @@ def test_solve_systems_matches_per_row_loop():
         want, fell_back = reference_solve_systems(gram, rhs)
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
-            got = _solve_systems(gram, rhs, "per-row")
+            got, count = _solve_systems(gram, rhs, "per-row")
         np.testing.assert_array_equal(got, want)
         assert [w.category for w in record] == [RankDeficiencyWarning] * fell_back
+        assert (count > 0) == fell_back
         fallbacks += fell_back
     assert 0 < fallbacks < 300
+
+
+def test_solve_systems_fast_path_is_the_batched_solve(monkeypatch):
+    gen = RandomStream(12).generator()
+    f = gen.standard_normal((40, 5, 7))
+    gram, rhs = f @ f.transpose(0, 2, 1), gen.standard_normal((40, 5))
+    want = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fallback path ran")
+
+    for name in ("lstsq", "slogdet"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(np, "flatnonzero", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, count = _solve_systems(gram, rhs, "per-row")
+    np.testing.assert_array_equal(got, want)
+    assert count == 0
+
+
+def test_solve_systems_one_singular_row_warns_once_and_batches_the_rest(monkeypatch):
+    gen = RandomStream(13).generator()
+    f = gen.standard_normal((6, 3, 5))
+    gram, rhs = f @ f.transpose(0, 2, 1), gen.standard_normal((6, 3))
+    gram[2] = 0.0
+    batches, lstsq_rows, real_solve, real_lstsq = [], [], np.linalg.solve, np.linalg.lstsq
+
+    def solve_batch(a, b):
+        batches.append(len(a))
+        return real_solve(a, b)
+
+    def lstsq_row(a, b, rcond=None):
+        lstsq_rows.append(1)
+        return real_lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "solve", solve_batch)
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq_row)
+    with pytest.warns(RankDeficiencyWarning) as record:
+        got, count = _solve_systems(gram, rhs, "per-row")
+    assert len(record) == 1 and count == 1 and len(lstsq_rows) == 1
+    assert batches == [6, 5]  # the whole batch raises; the regular rows go in one call
+    regular = [0, 1, 3, 4, 5]
+    np.testing.assert_array_equal(
+        got[regular], real_solve(gram[regular], rhs[regular][:, :, None])[:, :, 0]
+    )
+    np.testing.assert_array_equal(got[2], np.zeros(3))
 
 
 def test_solve_systems_all_singular_batch():
     gram, rhs = np.zeros((3, 2, 2)), np.ones((3, 2))
     with pytest.warns(RankDeficiencyWarning):
-        got = _solve_systems(gram, rhs, "per-row")
+        got, count = _solve_systems(gram, rhs, "per-row")
     np.testing.assert_array_equal(got, np.zeros((3, 2)))
+    assert count == 3

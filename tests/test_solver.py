@@ -410,8 +410,8 @@ class TestBalance:
 
 
 class TestStopState:
-    """``converged``, ``iterations`` and the trace length for each way
-    :func:`solve` stops.  The scripted runs replace the builder's misfit
+    """``stop_reason``, ``converged``, ``iterations`` and the trace length for
+    each way :func:`solve` stops.  The scripted runs replace the builder's misfit
     function (``gamma = 0``, so the misfit is the objective): its first call,
     which prices the starting pair, returns the initial objective itself, and
     each later call, one per half-sweep, a given multiple of it; the factors
@@ -439,7 +439,7 @@ class TestStopState:
         problem, _ = _planted_problem(noise_std=0.1, seed=216)
         start = self._scripted(monkeypatch, problem, [0.5, 0.25, 0.25, 0.25])
         sol = solve(problem, max_sweeps=10, tol=1e-8)
-        assert (sol.converged, sol.iterations) == (True, 2)
+        assert (sol.stop_reason, sol.converged, sol.iterations) == ("tol", True, 2)
         np.testing.assert_array_equal(
             sol.objective_trace, np.array([1, 0.5, 0.25, 0.25, 0.25]) * start
         )
@@ -450,7 +450,7 @@ class TestStopState:
         problem, _ = _planted_problem(noise_std=0.1, seed=217)
         start = self._scripted(monkeypatch, problem, ratios)
         sol = solve(problem, max_sweeps=10, tol=1e-8)
-        assert (sol.converged, sol.iterations) == (True, sweeps)
+        assert (sol.stop_reason, sol.converged, sol.iterations) == ("stagnated", True, sweeps)
         np.testing.assert_array_equal(
             sol.objective_trace, np.array([1.0, *ratios[:-1]]) * start
         )
@@ -459,7 +459,7 @@ class TestStopState:
         problem, _ = _planted_problem(noise_std=0.1, seed=218)
         start = self._scripted(monkeypatch, problem, [0.5**k for k in range(1, 7)])
         sol = solve(problem, max_sweeps=3, tol=1e-8)
-        assert (sol.converged, sol.iterations) == (False, 3)
+        assert (sol.stop_reason, sol.converged, sol.iterations) == ("max_sweeps", False, 3)
         np.testing.assert_array_equal(
             sol.objective_trace, 0.5 ** np.arange(7) * start
         )
@@ -470,6 +470,7 @@ class TestStopState:
         sol = solve(problem, max_sweeps=500, tol=tol)
         trace = sol.objective_trace
         assert sol.converged and 1 < sol.iterations < 500
+        assert sol.stop_reason == "tol" and sol.fallbacks == 0
         assert len(trace) == 1 + 2 * sol.iterations
         sweep_starts, sweep_ends = trace[:-1:2], trace[2::2]
         stopped = sweep_starts - sweep_ends <= tol * np.abs(sweep_starts)
@@ -478,8 +479,15 @@ class TestStopState:
     def test_cap_stop(self):
         problem, _ = _planted_problem(noise_std=0.1, drift_std=0.3, m0=100, seed=212)
         sol = solve(problem, max_sweeps=2, tol=0.0)
-        assert (sol.converged, sol.iterations) == (False, 2)
+        assert (sol.stop_reason, sol.converged, sol.iterations) == ("max_sweeps", False, 2)
         assert len(sol.objective_trace) == 5
+
+    def test_scripted_tolerance_stop_on_the_last_allowed_sweep(self, monkeypatch):
+        # a sweep that meets tol at the cap reports tol, not the cap
+        problem, _ = _planted_problem(noise_std=0.1, seed=219)
+        self._scripted(monkeypatch, problem, [0.5, 0.25, 0.25, 0.25])
+        sol = solve(problem, max_sweeps=2, tol=1e-8)
+        assert (sol.stop_reason, sol.converged, sol.iterations) == ("tol", True, 2)
 
 
 class TestProblemValidation:
