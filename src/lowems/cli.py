@@ -250,7 +250,8 @@ def _cmd_solve(args) -> int:
         )
     print(
         f"solved in {solution.iterations} sweeps "
-        f"(converged={solution.converged}, "
+        f"(converged={solution.converged}, stop_reason={solution.stop_reason}, "
+        f"fallbacks={solution.fallbacks}, "
         f"objective={FLOAT_FORMAT % solution.objective_trace[-1]})"
     )
     return 0

@@ -23,7 +23,7 @@ from .core import COUNT, RandomStream, Range, write_csv
 from .dynamics import DynamicGroundTruth, generate_truth
 from .experiments import _aggregate
 from .measurement import ObservationSet, SamplingOperator
-from .solver import DivergenceError, LowemsProblem, solve
+from .solver import DivergenceError, FactorPair, LowemsProblem, solve
 from .weights import optimal_weights
 
 HEADER = ("user_id", "item_id", "rating", "timestamp")
@@ -292,14 +292,16 @@ def _fit_rmse(
     weights,
     cfg: FitConfig,
     rng: RandomStream,
-) -> float:
-    """Fit the weighted model to ``obs`` from a random init, unclipped, and
-    return its RMSE on the nonempty ``scored`` table rows."""
+    init: str | FactorPair = "random",
+) -> tuple[float, FactorPair]:
+    """Fit the weighted model to ``obs``, unclipped, from a random init drawn
+    from ``rng`` or from the starting pair ``init``; return its RMSE on the
+    nonempty ``scored`` table rows and its factors."""
     problem = LowemsProblem(obs, weights, cfg.rank, gamma=cfg.gamma)
-    sol = solve(problem, max_sweeps=cfg.max_sweeps, tol=cfg.tol, init="random", rng=rng)
+    sol = solve(problem, max_sweeps=cfg.max_sweeps, tol=cfg.tol, init=init, rng=rng)
     table = binned.table
     pred = sol.X_hat[table.item_rows[scored], table.user_cols[scored]]
-    return float(np.sqrt(np.mean((pred - table.ratings[scored]) ** 2)))
+    return float(np.sqrt(np.mean((pred - table.ratings[scored]) ** 2))), sol.factors
 
 
 @dataclass(frozen=True)
@@ -333,17 +335,26 @@ def cross_validate_kappa(
     the ``(train_rows, val_rows)`` ``folds`` of :func:`make_split`.
 
     Each fold's training set is built once and shared by the grid, one fold
-    at a time.  Random-init streams are derived per fold and shared across
-    the grid, so the comparison between kappa values is not confounded by
-    init noise.  A fold with no validation rating to score is skipped before
-    any fit (:class:`EmptyResultError` if every fold is), and one whose fit
-    diverges is skipped with a warning; a kappa with no surviving folds is
-    excluded from selection.  Exact RMSE ties resolve to the smaller kappa.
+    at a time.  A fold fits its grid as one path in ascending kappa (a warm
+    start along a regularization path, as in glmnet and softImpute): the
+    smallest kappa's fit starts from a random init drawn from the fold's
+    stream ``rng.child(f)``, and each later fit starts from the factors of
+    the fit before it.  So a kappa's scores depend on the smaller kappa
+    values in the grid, not on the grid's order.  A kappa whose weights
+    equal the previous kappa's (every kappa when ``d = 1``) poses the same
+    problem and takes that fit's score without a solve.  A fold with no
+    validation rating to score is skipped before any fit
+    (:class:`EmptyResultError` if every fold is), and a fit that diverges is
+    skipped with a warning, the next kappa starting again from
+    ``rng.child(f)``; a kappa with no surviving folds is excluded from
+    selection.  Rows follow the grid's order.  Exact RMSE ties resolve to
+    the smaller kappa.
     """
     kappa_grid = list(kappa_grid)
     if not kappa_grid:
         raise ValueError("kappa_grid must be nonempty")
     weights = [optimal_weights(binned.d, kappa) for kappa in kappa_grid]
+    path = sorted(range(len(kappa_grid)), key=kappa_grid.__getitem__)
     scores: list[list[float]] = [[] for _ in kappa_grid]
     scoreable = False
     for f, fold in enumerate(folds):
@@ -352,17 +363,23 @@ def cross_validate_kappa(
             del obs
             continue
         scoreable = True
-        for kappa, w, fold_scores in zip(kappa_grid, weights, scores):
+        init, prev = "random", None  # prev: the grid index of the fit before
+        for k in path:
+            if prev is not None and np.array_equal(weights[k].w, weights[prev].w):
+                scores[k].append(scores[prev][-1])
+                continue
             try:
-                rmse = _fit_rmse(binned, obs, scored, w, cfg, rng.child(f))
+                rmse, init = _fit_rmse(binned, obs, scored, weights[k], cfg, rng.child(f), init)
             except DivergenceError:
                 warnings.warn(
-                    f"fold {f} diverged at kappa={kappa}; skipping",
+                    f"fold {f} diverged at kappa={kappa_grid[k]}; skipping",
                     RuntimeWarning,
                     stacklevel=2,
                 )
+                init, prev = "random", None
                 continue
-            fold_scores.append(rmse)
+            scores[k].append(rmse)
+            prev = k
         del obs  # one fold's observations at a time
     if not scoreable:
         raise EmptyResultError("no CV fold has a validation rating whose user and item "
@@ -417,7 +434,7 @@ def evaluate_test(
     if scored.size == 0:
         raise EmptyResultError("no test rating's user and item both appear in training")
     weights = optimal_weights(binned.d, kappa)
-    rmse = [_fit_rmse(binned, obs, scored, weights, cfg, rng.child(i))
+    rmse = [_fit_rmse(binned, obs, scored, weights, cfg, rng.child(i))[0]
             for i in range(restarts)]
     return TestEvaluation(np.asarray(rmse), scored.size, test.size - scored.size)
 

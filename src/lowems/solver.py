@@ -370,10 +370,14 @@ def solve(
     *,
     max_sweeps: int = 500,
     tol: float = 1e-8,
-    init: str = "spectral",
+    init: str | FactorPair = "spectral",
     rng: RandomStream | None = None,
 ) -> Solution:
     """Run alternating minimization to (numerical) convergence.
+
+    ``init`` is a mode of :func:`init_factors` (``rng`` feeds ``random``),
+    or a starting :class:`FactorPair` of shapes ``(n1, rank)`` and
+    ``(n2, rank)``, used as it is: a warm start.
 
     Stops when the relative objective decrease over a full sweep falls below
     ``tol``, when ``max_sweeps`` is exhausted, or when a half-sweep fails to
@@ -394,7 +398,14 @@ def solve(
         raise ValueError(f"max_sweeps must be {COUNT}")
     if tol not in NONNEGATIVE:
         raise ValueError(f"tol must be {NONNEGATIVE}")
-    pair = init_factors(problem, init, rng)
+    if isinstance(init, FactorPair):
+        pair = FactorPair(
+            _fixed_factor(problem, init.U, "V"), _fixed_factor(problem, init.V, "U")
+        )
+        if not (np.isfinite(pair.U).all() and np.isfinite(pair.V).all()):
+            raise DivergenceError("initial objective is non-finite", pair, [])
+    else:
+        pair = init_factors(problem, init, rng)
     u, v = pair.U, pair.V
     build = _normal_equations(problem)
     current, trace, fallbacks = None, [], 0

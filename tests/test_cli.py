@@ -8,6 +8,7 @@ stderr config log can be asserted directly; one smoke test goes through
 import argparse
 import csv
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -338,7 +339,11 @@ class TestGenerateSolve:
             capsys, argv + ["--out-x", str(x_a), "--out-trace", str(trace)]
         )
         assert code == 0
-        assert "solved in" in out and "converged=True" in out
+        assert re.fullmatch(
+            r"solved in \d+ sweeps \(converged=True, stop_reason=tol, fallbacks=0, "
+            r"objective=[-+.\de]+\)\n",
+            out,
+        ), out
         code, _, _ = _run(capsys, argv + ["--out-x", str(x_b)])
         assert code == 0
         assert x_a.read_bytes() == x_b.read_bytes()

@@ -7,9 +7,10 @@ import weakref
 import numpy as np
 import pytest
 
-from lowems import ratings
+from lowems import ratings, solver
 from lowems.core import RandomStream
 from lowems.solver import DivergenceError
+from lowems.weights import optimal_weights
 from lowems.ratings import (
     BIN_WIDTH,
     EmptyResultError,
@@ -500,6 +501,147 @@ class TestCrossValidation:
             cross_validate_kappa(
                 binned, folds, [], FitConfig(rank=1), RandomStream(93)
             )
+
+
+def _cold(problem, **kwargs):
+    """The cold rule, the oracle of the kappa path: every fit starts from the
+    fold's random init."""
+    return solver.solve(problem, **{**kwargs, "init": "random"})
+
+
+class TestKappaPath:
+    """Each fold fits its kappa grid as one path in ascending kappa, every
+    fit after the first warm-started from the factors of the one before."""
+
+    GRID = [1.0, 0.01, 10.0, 0.1]
+    CFG = FitConfig(rank=2, gamma=0.1)
+
+    @pytest.fixture
+    def planted(self):
+        table, _ = synthetic_ratings(
+            15, 18, 2, 2, fill=0.5, noise_std=0.1, drift_std=0.1,
+            rng=RandomStream(103),
+        )
+        binned = bin_by_time(table, 2)
+        return binned, make_split(binned, RandomStream(104), folds=3)
+
+    @staticmethod
+    def _cv_table(seed):
+        """perfbench's ``ratings_cv`` table, split as ``ratings cv --seed seed``
+        splits it; the CV streams are ``RandomStream(seed).child(1)``."""
+        table, _ = synthetic_ratings(
+            100, 150, 5, 3, fill=0.30, noise_std=0.1, drift_std=0.1 * math.sqrt(10.0),
+            rng=RandomStream(seed).child(0),
+        )
+        binned = bin_by_time(table, 3)
+        return binned, make_split(binned, RandomStream(seed).child(0), folds=3)
+
+    def test_smallest_kappa_keeps_the_cold_fits(self, planted, monkeypatch):
+        binned, folds = planted
+        path = cross_validate_kappa(binned, folds, self.GRID, self.CFG, RandomStream(120))
+        monkeypatch.setattr(ratings, "solve", _cold)
+        cold = cross_validate_kappa(binned, folds, self.GRID, self.CFG, RandomStream(120))
+        assert path.rows[1] == cold.rows[1]  # kappa 0.01: bit-equal mean and std
+        assert path.rows != cold.rows  # the later kappas started warm
+
+    def test_unsorted_grid_reports_rows_in_grid_order(self, planted):
+        binned, folds = planted
+        shuffled = cross_validate_kappa(binned, folds, self.GRID, self.CFG, RandomStream(121))
+        ascending = cross_validate_kappa(
+            binned, folds, sorted(self.GRID), self.CFG, RandomStream(121)
+        )
+        assert [row.kappa for row in shuffled.rows] == self.GRID
+        assert sorted(shuffled.rows, key=lambda row: row.kappa) == list(ascending.rows)
+        assert shuffled.best_kappa == ascending.best_kappa
+
+    def test_divergence_restarts_the_path_cold(self, planted, monkeypatch):
+        binned, folds = planted
+        rng = RandomStream(122)
+        fits = []  # (init, rng, solution or None when scripted to diverge)
+
+        def scripted(problem, **kwargs):
+            diverge = kwargs["rng"] == rng.child(0) and np.array_equal(
+                problem.weights.w, optimal_weights(2, 0.1).w
+            )
+            sol = None if diverge else solver.solve(problem, **kwargs)
+            fits.append((kwargs["init"], kwargs["rng"], sol))
+            if diverge:
+                raise DivergenceError("objective became non-finite", None, [])
+            return sol
+
+        monkeypatch.setattr(ratings, "solve", scripted)
+        with pytest.warns(RuntimeWarning) as record:
+            cv = cross_validate_kappa(binned, folds, [1.0, 0.1, 0.01], self.CFG, rng)
+        assert [str(w.message) for w in record] == ["fold 0 diverged at kappa=0.1; skipping"]
+        assert [row.kappa for row in cv.rows] == [1.0, 0.1, 0.01]
+        # fold 0: 0.01 cold, 0.1 warm and diverges, 1.0 cold again; folds 1, 2 warm
+        starts = ["random", 0, "random", "random", 3, 4, "random", 6, 7]
+        assert len(fits) == len(starts)
+        for k, ((init, stream, _), start) in enumerate(zip(fits, starts)):
+            assert stream == rng.child(k // 3)
+            if start == "random":
+                assert init == "random"
+            else:
+                assert init is fits[start][2].factors
+
+    def test_equal_weights_cost_no_solve(self, planted, monkeypatch):
+        fits = []
+
+        def counting(problem, **kwargs):
+            fits.append(problem.weights.w)
+            return solver.solve(problem, **kwargs)
+
+        monkeypatch.setattr(ratings, "solve", counting)
+        binned, folds = planted
+        cv = cross_validate_kappa(binned, folds, [1.0, 0.1, 1.0, 0.1], self.CFG,
+                                  RandomStream(123))
+        assert len(fits) == 2 * len(folds)
+        assert cv.rows[0] == cv.rows[2] and cv.rows[1] == cv.rows[3]
+        # one bin: every kappa gives the same weights, so one fit per fold
+        table, _ = synthetic_ratings(
+            20, 25, 2, 1, fill=0.5, noise_std=0.1, drift_std=0.0, rng=RandomStream(85)
+        )
+        binned = bin_by_time(table, 1)
+        folds = make_split(binned, RandomStream(86), folds=3)
+        fits.clear()
+        cv = cross_validate_kappa(binned, folds, [10.0, 0.5, 100.0], self.CFG,
+                                  RandomStream(87))
+        one = cross_validate_kappa(binned, folds, [0.5], self.CFG, RandomStream(87))
+        assert len(fits) == 2 * len(folds)  # both runs' fits
+        assert [(row.mean_val_rmse, row.std) for row in cv.rows] == [
+            (one.rows[0].mean_val_rmse, one.rows[0].std)
+        ] * 3
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_path_fits_end_no_higher_than_cold_fits(self, monkeypatch, seed):
+        # gamma 0.1, perfbench's value: measured worst 2.5e-9 relative above
+        binned, folds = self._cv_table(seed)
+        fits = []
+
+        def recording(problem, **kwargs):
+            sol = solver.solve(problem, **kwargs)
+            fits.append((problem, kwargs, sol.objective_trace[-1]))
+            return sol
+
+        monkeypatch.setattr(ratings, "solve", recording)
+        cfg = FitConfig(rank=5, gamma=0.1)
+        cross_validate_kappa(binned, folds, [0.01, 0.1, 1, 10], cfg, RandomStream(seed).child(1))
+        assert len(fits) == 12
+        for problem, kwargs, end in fits:
+            assert end <= _cold(problem, **kwargs).objective_trace[-1] * (1 + 1e-8)
+
+    @pytest.mark.parametrize("seed", [0, 4, 6])
+    def test_large_ridge_cv_means_stay_near_cold(self, monkeypatch, seed):
+        # gamma 1.0, the CLI default: a path fit may stop higher than its cold
+        # fit (seed 4: 2.6e-7 relative), and seed 6 moves a mean the most (2.7e-5)
+        binned, folds = self._cv_table(seed)
+        cfg, grid = FitConfig(rank=5, gamma=1.0), [0.01, 0.1, 1, 10]
+        path = cross_validate_kappa(binned, folds, grid, cfg, RandomStream(seed).child(1))
+        monkeypatch.setattr(ratings, "solve", _cold)
+        cold = cross_validate_kappa(binned, folds, grid, cfg, RandomStream(seed).child(1))
+        assert path.best_kappa == cold.best_kappa
+        for p, c in zip(path.rows, cold.rows):
+            assert abs(p.mean_val_rmse - c.mean_val_rmse) <= 1e-4
 
 
 class TestEvaluateTest:

@@ -348,6 +348,56 @@ class TestSolve:
             solve(problem, init="random")  # needs rng
 
 
+class TestInitPair:
+    """``solve`` from a given starting :class:`FactorPair` (a warm start)."""
+
+    @pytest.mark.parametrize("variant", ["sampling", "gaussian"])
+    @pytest.mark.parametrize("mode", ["spectral", "random"])
+    def test_named_init_as_a_pair_gives_the_same_solution(self, variant, mode):
+        problem, _ = _planted_problem(variant=variant, noise_std=0.1, gamma=0.05, seed=240)
+        rng = RandomStream(5) if mode == "random" else None
+        start = init_factors(problem, mode, rng)
+        kept = start.U.copy(), start.V.copy()
+        named = solve(problem, init=mode, rng=rng)
+        given = solve(problem, init=start)
+        np.testing.assert_array_equal(named.factors.U, given.factors.U)
+        np.testing.assert_array_equal(named.factors.V, given.factors.V)
+        for f in dataclasses.fields(Solution)[1:]:
+            np.testing.assert_array_equal(
+                getattr(named, f.name), getattr(given, f.name), err_msg=f.name
+            )
+        np.testing.assert_array_equal(start.U, kept[0])  # the start is not written to
+        np.testing.assert_array_equal(start.V, kept[1])
+
+    def test_wrong_shape_names_the_expected_one(self):
+        problem, _ = _planted_problem(seed=241)  # 12 x 10, rank 2
+        good = init_factors(problem)
+        cases = [
+            (FactorPair(good.V, good.V), (12, 2)),
+            (FactorPair(good.U, good.U), (10, 2)),
+            (FactorPair(np.ones((12, 3)), np.ones((10, 3))), (12, 2)),
+        ]
+        for pair, expected in cases:
+            with pytest.raises(ValueError, match=re.escape(f"expected {expected}")):
+                solve(problem, init=pair)
+
+    @pytest.mark.parametrize("variant", ["sampling", "gaussian"])
+    @pytest.mark.parametrize("side, value", [("U", np.nan), ("V", np.inf)])
+    def test_non_finite_pair_raises_before_any_solve(self, monkeypatch, variant, side, value):
+        problem, _ = _planted_problem(variant=variant, seed=242)
+        start = init_factors(problem)
+        factors = {"U": start.U.copy(), "V": start.V.copy()}
+        factors[side][1, 0] = value
+
+        def refuse(*args):
+            raise AssertionError("a system was solved")
+
+        monkeypatch.setattr(solver_module, "_solve_systems", refuse)
+        with pytest.raises(DivergenceError, match="^initial objective is non-finite$") as err:
+            solve(problem, init=FactorPair(factors["U"], factors["V"]))
+        assert err.value.trace.size == 0
+
+
 class TestBalance:
     """The gauge step that ridge solves take between sweeps."""
 
