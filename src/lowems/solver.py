@@ -21,8 +21,8 @@ more sweeps.
 Each half-sweep of :func:`solve` drives the builder that
 :func:`_normal_equations` makes once per solve: it assembles the normal
 equations as a batch of systems plus a function giving the candidate's
-misfit, and :func:`_ridge_solve` adds the ridge and solves (a finite batched
-solve is used as it is; only singular systems pay for the fallback).
+misfit, and :func:`_ridge_solve` adds the ridge and solves (only systems
+LAPACK finds singular pay for the fallback).
 Sampling gives one tiny system per output row; all rows come from one GEMM
 of dense merged weights (two ``n1 * n2`` arrays) held by the builder, so its
 cost follows ``n1 * n2`` rather than the observation count.  Dense sensing
@@ -49,8 +49,7 @@ from functools import partial
 import numpy as np
 
 from .core import (
-    COUNT, NONNEGATIVE, POSITIVE, RandomStream, check_matrix, check_rank, frobenius_norm,
-    top_r_svd,
+    COUNT, NONNEGATIVE, POSITIVE, RandomStream, check_rank, frobenius_norm, top_r_svd,
 )
 from .measurement import ObservationSet, _live_bins
 from .weights import WeightVector
@@ -64,7 +63,8 @@ class RankDeficiencyWarning(UserWarning):
 
 
 class DivergenceError(RuntimeError):
-    """The objective became non-finite.  Carries the last finite iterate."""
+    """A solve priced a non-finite objective.  Carries the pair it kept: the
+    start pair as given (trace empty), or the last accepted pair and trace."""
 
     def __init__(self, message: str, factors: "FactorPair", trace: list[float]):
         super().__init__(message)
@@ -259,10 +259,10 @@ def _sampling_system(
     ``c`` and ``b`` read transposed (views) for V.  That costs
     ``n1 * n2 * rank**2`` multiply-adds whatever the number of observations,
     so it pays on densely sampled problems.  Unobserved rows keep an exactly
-    zero Gram matrix.  The misfit scans the product for non-finite entries
-    once, not once per bin, then reads each live bin through its operator's
-    ``flat`` positions and adds ``w_t * ||r_t||^2`` left to right from 0.0 in
-    a plain loop, as :func:`weighted_misfit` does: the same bits."""
+    zero Gram matrix.  The misfit scans the whole product once (NaN if any
+    entry, observed or not, is non-finite), then reads each live bin through
+    its operator's ``flat`` positions and adds ``w_t * ||r_t||^2`` left to
+    right in a plain loop, as :func:`weighted_misfit` does: the same bits."""
     if side == "V":
         c, b = c.T, b.T
     r = fixed.shape[1]
@@ -270,8 +270,8 @@ def _sampling_system(
     gram = (c @ outer).reshape(-1, r, r)
 
     def misfit(x: np.ndarray) -> float:
-        product = check_matrix(fixed @ x.T if side == "V" else x @ fixed.T, "x")
-        total = 0.0
+        product = fixed @ x.T if side == "V" else x @ fixed.T
+        total = 0.0 if np.isfinite(product).all() else math.nan
         for w_t, op, y_t in live:
             r_t = product.take(op.flat) - y_t
             total += w_t * float(r_t @ r_t)
@@ -323,30 +323,25 @@ def _sensing_system(
 
 def _solve_systems(gram: np.ndarray, rhs: np.ndarray, kind: str) -> tuple[np.ndarray, int]:
     """Solve the batch ``gram[k] @ x[k] = rhs[k]`` in one call; returns the
-    solutions and how many fell back.  A finite batched solve is returned as
-    it is.  Otherwise singular systems (only possible without ridge) and
-    systems with a non-finite solution are solved by minimum-norm least
+    solutions and how many fell back.  A batched solve that raises nothing is
+    returned as it is, non-finite or not.  Otherwise the systems LAPACK finds
+    singular (only possible without ridge) are solved by minimum-norm least
     squares, one at a time, with one warning per call; the rest stay batched."""
     try:
-        out = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
-        if np.isfinite(out).all():
-            return out, 0
-        regular = np.ones(len(rhs), dtype=bool)
+        return np.linalg.solve(gram, rhs[:, :, None])[:, :, 0], 0
     except np.linalg.LinAlgError:
         # a zero sign marks an exactly zero LU pivot: the systems gesv rejects
         regular = np.linalg.slogdet(gram)[0] != 0.0
-        out = np.zeros_like(rhs)
-        out[regular] = np.linalg.solve(gram[regular], rhs[regular][:, :, None])[:, :, 0]
-    fallback = np.flatnonzero(~regular | ~np.isfinite(out).all(axis=1))
-    if fallback.size:
-        warnings.warn(
-            f"singular {kind} system; using minimum-norm solve",
-            RankDeficiencyWarning,
-            stacklevel=4,  # _solve_systems, _ridge_solve, solve/update_*, caller
-        )
-        for k in fallback:
-            out[k] = np.linalg.lstsq(gram[k], rhs[k], rcond=None)[0]
-    return out, fallback.size
+    out = np.zeros_like(rhs)
+    out[regular] = np.linalg.solve(gram[regular], rhs[regular][:, :, None])[:, :, 0]
+    warnings.warn(
+        f"singular {kind} system; using minimum-norm solve",
+        RankDeficiencyWarning,
+        stacklevel=4,  # _solve_systems, _ridge_solve, solve/update_*, caller
+    )
+    for k in np.flatnonzero(~regular):
+        out[k] = np.linalg.lstsq(gram[k], rhs[k], rcond=None)[0]
+    return out, len(regular) - int(regular.sum())
 
 
 def _balance(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -382,8 +377,10 @@ def solve(
     Stops when the relative objective decrease over a full sweep falls below
     ``tol``, when ``max_sweeps`` is exhausted, or when a half-sweep fails to
     improve the computed objective — exact block minimization cannot increase
-    the true objective, so a computed increase means the iteration has hit
-    the floating-point floor and the previous iterate is kept.
+    the true objective, so a computed increase is rounding error (often the
+    floating-point floor, but it can be far larger) and the previous iterate
+    is kept.  A non-finite objective, at the start or at a candidate, raises
+    :class:`DivergenceError`; no other step raises on a non-finite value.
 
     With ``gamma > 0``, every sweep that does not stop the solve is followed
     by the gauge step :func:`_balance`, kept when it lowers the ridge term.
@@ -402,8 +399,6 @@ def solve(
         pair = FactorPair(
             _fixed_factor(problem, init.U, "V"), _fixed_factor(problem, init.V, "U")
         )
-        if not (np.isfinite(pair.U).all() and np.isfinite(pair.V).all()):
-            raise DivergenceError("initial objective is non-finite", pair, [])
     else:
         pair = init_factors(problem, init, rng)
     u, v = pair.U, pair.V

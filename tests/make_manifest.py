@@ -97,7 +97,8 @@ RECIPES = [
 # loads it, so they are read once, on import: a later change to the
 # environment (perfbench/run.py pins them when a test session imports it)
 # does not reach the running BLAS.
-_THREAD_VARS = {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+_THREADS = {v: os.environ.get(v) for v in THREAD_VARS}
 
 
 def fingerprint() -> dict:
@@ -111,7 +112,7 @@ def fingerprint() -> dict:
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "cpu": cpu,
         "cpu_count": os.cpu_count(),
-        **_THREAD_VARS,
+        **_THREADS,
     }
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from lowems import ratings, solver
 from lowems.core import RandomStream
-from lowems.solver import DivergenceError
+from lowems.solver import DivergenceError, FactorPair
 from lowems.weights import optimal_weights
 from lowems.ratings import (
     BIN_WIDTH,
@@ -583,6 +583,41 @@ class TestKappaPath:
                 assert init == "random"
             else:
                 assert init is fits[start][2].factors
+
+    def test_overflowing_fit_is_skipped_like_a_scripted_divergence(self, planted, monkeypatch):
+        # fold 1's fit at kappa 0.1 really overflows: the real solve, started
+        # from a finite pair whose product is inf; the run must equal one where
+        # that fit raises a scripted DivergenceError
+        binned, folds = planted
+        grid, rng = [0.01, 0.1, 1.0], RandomStream(124)
+
+        def one_fit_fails(real: bool):
+            def scripted(problem, **kwargs):
+                if kwargs["rng"] == rng.child(1) and np.array_equal(
+                    problem.weights.w, optimal_weights(2, 0.1).w
+                ):
+                    if not real:
+                        raise DivergenceError("objective became non-finite", None, [])
+                    obs, r = problem.obs, problem.rank
+                    huge = FactorPair(np.full((obs.n1, r), 1e200), np.full((obs.n2, r), 1e200))
+                    # numpy's overflow warnings would join the skip warning below
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        return solver.solve(problem, **{**kwargs, "init": huge})
+                return solver.solve(problem, **kwargs)
+
+            monkeypatch.setattr(ratings, "solve", scripted)
+            with pytest.warns(RuntimeWarning) as record:
+                cv = cross_validate_kappa(binned, folds, grid, self.CFG, rng)
+            assert [str(w.message) for w in record] == ["fold 1 diverged at kappa=0.1; skipping"]
+            return cv
+
+        overflowed, scripted = one_fit_fails(True), one_fit_fails(False)
+        monkeypatch.setattr(ratings, "solve", solver.solve)
+        clean = cross_validate_kappa(binned, folds, grid, self.CFG, rng)
+        assert overflowed.rows == scripted.rows
+        assert overflowed.best_kappa == scripted.best_kappa
+        assert overflowed.rows[0] == clean.rows[0]  # kappa 0.01 is fit before it
+        assert overflowed.rows[1] != clean.rows[1]  # one fold fewer
 
     def test_equal_weights_cost_no_solve(self, planted, monkeypatch):
         fits = []

@@ -9,6 +9,7 @@ as an oracle: it rebuilds every Gram matrix and right-hand side from the raw
 """
 
 import dataclasses
+import math
 import tracemalloc
 import warnings
 
@@ -19,6 +20,8 @@ from lowems import solver as solver_module
 from lowems.core import RandomStream
 from lowems.measurement import ObservationSet, SamplingOperator, make_operator
 from lowems.solver import (
+    DivergenceError,
+    FactorPair,
     LowemsProblem,
     RankDeficiencyWarning,
     _normal_equations,
@@ -197,19 +200,25 @@ def test_design_memory_is_two_dense_arrays():
     del build
 
 
-def test_non_finite_product_is_refused_like_weighted_misfit():
+def test_non_finite_product_prices_nan_and_solve_diverges():
     # The candidate U is finite, but U @ V.T overflows at (1, 2), an entry
-    # with no observation; weighted_misfit refuses the whole product.
+    # with no observation; the misfit scans the whole product, so it is NaN,
+    # and solve turns that into its DivergenceError like any non-finite value.
     rows, cols = np.array([0, 1, 2, 3, 0, 1]), np.array([0, 1, 2, 0, 2, 0])
     obs = ObservationSet((SamplingOperator(4, 3, rows, cols),), (np.full(6, 1e150),), 0.0)
     problem = LowemsProblem(obs, WeightVector(np.ones(1)), 1)
-    v = np.array([[1e-100], [1e-100], [1e100]])
+    u0, v = np.ones((4, 1)), np.array([[1e-100], [1e-100], [1e100]])
     _, _, misfit = _normal_equations(problem)(v, "U")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         u = update_U(problem, v)
         assert np.all(np.isfinite(u))
-        with pytest.raises(ValueError, match="non-finite entries"):
-            misfit(u)
+        assert math.isnan(misfit(u))
+        assert math.isfinite(misfit(u0))
+        with pytest.raises(DivergenceError, match="^objective became non-finite$") as err:
+            solve(problem, init=FactorPair(u0, v))
+    np.testing.assert_array_equal(err.value.factors.U, u0)
+    np.testing.assert_array_equal(err.value.factors.V, v)
+    np.testing.assert_array_equal(err.value.trace, [misfit(u0)])
 
 
 @pytest.mark.parametrize("variant", ["sampling", "gaussian"])

@@ -287,6 +287,28 @@ def test_solve_systems_fast_path_is_the_batched_solve(monkeypatch):
     assert count == 0
 
 
+def test_solve_systems_passes_a_non_finite_row_on(monkeypatch):
+    # only a singular system falls back; an overflowed Gram is solved in the
+    # batch and its non-finite row is left for solve's pricing to refuse
+    gen = RandomStream(14).generator()
+    f = gen.standard_normal((5, 3, 4))
+    gram, rhs = f @ f.transpose(0, 2, 1), gen.standard_normal((5, 3))
+    gram[3, 1] = np.inf
+    with np.errstate(invalid="ignore"):
+        want = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lstsq ran")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+        warnings.simplefilter("error")
+        got, count = _solve_systems(gram, rhs, "per-row")
+    assert count == 0
+    assert not np.isfinite(got[3]).all()
+    np.testing.assert_array_equal(got, want)
+
+
 def test_solve_systems_one_singular_row_warns_once_and_batches_the_rest(monkeypatch):
     gen = RandomStream(13).generator()
     f = gen.standard_normal((6, 3, 5))

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -323,6 +324,23 @@ class TestSolve:
             solve(prob, init="random", rng=RandomStream(1))
         assert err.value.trace.size == 0
 
+    def test_overflowing_gram_raises_divergence_error_without_fallback(self, capfd):
+        # a finite start whose product is about 1: the U half-sweep's Gram is
+        # subnormal but regular, the V half-sweep's overflows to inf, and its
+        # non-finite solution reaches the pricing rather than lstsq
+        problem, _ = _planted_problem(
+            n1=4, n2=3, rank=1, d=1, drift_std=0.0, variant="gaussian", m0=30, seed=218
+        )
+        start = FactorPair(np.full((4, 1), 1e160), np.full((3, 1), 1e-160))
+        with warnings.catch_warnings(record=True) as record, np.errstate(all="ignore"):
+            warnings.simplefilter("always")
+            with pytest.raises(DivergenceError, match="^objective became non-finite$") as err:
+                solve(problem, init=start)
+        assert not [w for w in record if issubclass(w.category, RankDeficiencyWarning)]
+        assert "DLASCL" not in "".join(capfd.readouterr())
+        assert err.value.trace.size == 2  # the start and the accepted U half-sweep
+        assert np.isfinite(err.value.factors.U).all()
+
     @pytest.mark.parametrize("gamma", [0.0, 0.2])
     def test_initial_objective_comes_from_the_first_system(self, gamma):
         # sampling: the same product and per-bin sums, so the same bits;
@@ -393,9 +411,13 @@ class TestInitPair:
             raise AssertionError("a system was solved")
 
         monkeypatch.setattr(solver_module, "_solve_systems", refuse)
-        with pytest.raises(DivergenceError, match="^initial objective is non-finite$") as err:
+        # pricing an inf sensing factor computes inf * 0 in its design products
+        with pytest.raises(DivergenceError, match="^initial objective is non-finite$") as err, \
+                np.errstate(invalid="ignore"):
             solve(problem, init=FactorPair(factors["U"], factors["V"]))
         assert err.value.trace.size == 0
+        np.testing.assert_array_equal(err.value.factors.U, factors["U"])  # as given
+        np.testing.assert_array_equal(err.value.factors.V, factors["V"])
 
 
 class TestBalance:
