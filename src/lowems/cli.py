@@ -91,9 +91,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
     def add_config_option(self, *flags, required=False, **kwargs):
-        """Declare an option that ``--config`` may also set.  ``required``
-        is checked after parsing, since either a flag or the file may
-        supply the value."""
+        """Declare an option that ``--config`` may also set, and ``--config``
+        itself before the first one.  ``required`` is checked after parsing,
+        since either a flag or the file may supply the value."""
+        if not self.config_options:
+            self.add_argument("--config", help="JSON config file")
         action = self.add_argument(*flags, **kwargs)
         self.config_options[action.dest] = action
         if required:
@@ -395,10 +397,18 @@ def build_parser() -> _Parser:
     def add_seed(p, required=True):
         p.add_argument("--seed", type=int, required=required, help="master seed")
 
+    def add_sizes(p, *keys):
+        for key in keys:
+            p.add_config_option(f"--{key}", type=int, required=True)
+
+    def add_solver_settings(add):
+        add("--gamma", type=float, default=0.0)
+        add("--init", choices=INIT_MODES, default="spectral")
+        add("--max-sweeps", type=int, default=500)
+        add("--tol", type=float, default=1e-8)
+
     gen = sub.add_parser("generate", help="generate a synthetic observation bundle")
-    gen.add_argument("--config", help="JSON config file")
-    for key in ("n1", "n2", "rank", "d", "m0"):
-        gen.add_config_option(f"--{key}", type=int, required=True)
+    add_sizes(gen, "n1", "n2", "rank", "d", "m0")
     gen.add_config_option("--noise-std", type=float, default=0.05)
     gen.add_config_option("--drift-std", type=float, default=0.0)
     gen.add_config_option("--variant", choices=VARIANTS, default="sampling")
@@ -414,39 +424,27 @@ def build_parser() -> _Parser:
     slv.add_argument("--weights", required=True)
     slv.add_argument("--kappa", type=float)
     slv.add_argument("--rank", type=int, required=True)
-    slv.add_argument("--gamma", type=float, default=0.0)
-    slv.add_argument("--init", choices=INIT_MODES, default="spectral")
-    slv.add_argument("--max-sweeps", type=int, default=500)
-    slv.add_argument("--tol", type=float, default=1e-8)
+    add_solver_settings(slv.add_argument)
     slv.add_argument("--max-entry", type=float)
     slv.add_argument("--out-x", required=True)
     slv.add_argument("--out-trace")
     add_seed(slv, required=False)
     slv.set_defaults(func=_cmd_solve)
 
-    sweep_help = {
-        "sweep-error": "recovery error vs drift level, CSV output",
-        "sweep-samples": "minimal sampling density vs drift level, CSV output",
-    }
-    for name, func in (
-        ("sweep-error", _cmd_sweep_error),
-        ("sweep-samples", _cmd_sweep_samples),
+    for name, func, what in (
+        ("sweep-error", _cmd_sweep_error, "recovery error"),
+        ("sweep-samples", _cmd_sweep_samples, "minimal sampling density"),
     ):
-        sw = sub.add_parser(name, help=sweep_help[name])
-        sw.add_argument("--config", help="JSON config file")
-        for key in ("n1", "n2", "rank", "d"):
-            sw.add_config_option(f"--{key}", type=int, required=True)
+        sw = sub.add_parser(name, help=f"{what} vs drift level, CSV output")
+        add_sizes(sw, "n1", "n2", "rank", "d")
         if name == "sweep-error":
-            sw.add_config_option("--m0", type=int, required=True)
+            add_sizes(sw, "m0")
         sw.add_config_option("--noise-std", type=float, default=0.05)
         sw.add_config_option("--drift-grid", type=_float_list, required=True)
         sw.add_config_option("--strategies", type=_str_list, default=STRATEGIES)
         sw.add_config_option("--trials", type=int, default=10)
         sw.add_config_option("--variant", choices=VARIANTS, default="sampling")
-        sw.add_config_option("--gamma", type=float, default=0.0)
-        sw.add_config_option("--init", choices=INIT_MODES, default="spectral")
-        sw.add_config_option("--max-sweeps", type=int, default=500)
-        sw.add_config_option("--tol", type=float, default=1e-8)
+        add_solver_settings(sw.add_config_option)
         sw.add_argument("--threads", type=int, default=1)
         sw.add_argument("--out", required=True)
         if name == "sweep-error":
@@ -458,11 +456,9 @@ def build_parser() -> _Parser:
         sw.set_defaults(func=func)
 
     rip = sub.add_parser("rip-probe", help="empirical restricted-isometry probe")
-    rip.add_argument("--config", help="JSON config file")
-    for key in ("n1", "n2", "m0"):
-        rip.add_config_option(f"--{key}", type=int, required=True)
+    add_sizes(rip, "n1", "n2", "m0")
     rip.add_config_option("--d", type=int, default=1)
-    rip.add_config_option("--rank", type=int, required=True)
+    add_sizes(rip, "rank")
     rip.add_config_option("--trials", type=int, default=100)
     rip.add_config_option("--variant", choices=VARIANTS, default="gaussian")
     rip.add_argument("--weights", default="equal")
@@ -481,31 +477,27 @@ def build_parser() -> _Parser:
     ing.add_argument("--out")
     ing.set_defaults(func=_cmd_ratings_ingest)
 
-    cv = rat_sub.add_parser("cv", help="cross-validate the noise ratio")
-    cv.add_argument("--in", dest="infile", required=True)
-    cv.add_argument("--d", type=int, required=True)
-    cv.add_argument("--rank", type=int, required=True)
-    cv.add_argument("--gamma", type=float, default=1.0)
-    cv.add_argument(
-        "--kappa-grid", type=_float_list, default="0,0.001,0.01,0.1,1,10,100,1000"
-    )
-    cv.add_argument("--folds", type=int, default=5)
-    cv.add_argument("--test-frac", type=float, default=0.10)
-    cv.add_argument("--out", required=True)
-    add_seed(cv)
-    cv.set_defaults(func=_cmd_ratings_cv)
-
-    ev = rat_sub.add_parser("eval", help="held-out evaluation at a fixed kappa")
-    ev.add_argument("--in", dest="infile", required=True)
-    ev.add_argument("--d", type=int, required=True)
-    ev.add_argument("--rank", type=int, required=True)
-    ev.add_argument("--gamma", type=float, default=1.0)
-    ev.add_argument("--kappa", type=float, required=True)
-    ev.add_argument("--restarts", type=int, default=10)
-    ev.add_argument("--test-frac", type=float, default=0.10)
-    ev.add_argument("--out", required=True)
-    add_seed(ev)
-    ev.set_defaults(func=_cmd_ratings_eval)
+    for name, func, summary in (
+        ("cv", _cmd_ratings_cv, "cross-validate the noise ratio"),
+        ("eval", _cmd_ratings_eval, "held-out evaluation at a fixed kappa"),
+    ):
+        fit = rat_sub.add_parser(name, help=summary)
+        fit.add_argument("--in", dest="infile", required=True)
+        fit.add_argument("--d", type=int, required=True)
+        fit.add_argument("--rank", type=int, required=True)
+        fit.add_argument("--gamma", type=float, default=1.0)
+        if name == "cv":
+            fit.add_argument(
+                "--kappa-grid", type=_float_list, default="0,0.001,0.01,0.1,1,10,100,1000"
+            )
+            fit.add_argument("--folds", type=int, default=5)
+        else:
+            fit.add_argument("--kappa", type=float, required=True)
+            fit.add_argument("--restarts", type=int, default=10)
+        fit.add_argument("--test-frac", type=float, default=0.10)
+        fit.add_argument("--out", required=True)
+        add_seed(fit)
+        fit.set_defaults(func=func)
 
     return parser
 

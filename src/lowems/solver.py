@@ -380,7 +380,9 @@ def solve(
     the true objective, so a computed increase is rounding error (often the
     floating-point floor, but it can be far larger) and the previous iterate
     is kept.  A non-finite objective, at the start or at a candidate, raises
-    :class:`DivergenceError`; no other step raises on a non-finite value.
+    :class:`DivergenceError`; no other step raises on a non-finite value, and
+    the sweeps turn numpy's overflow and invalid-value warnings off on the
+    calling thread, so that error is all a diverging solve reports.
 
     With ``gamma > 0``, every sweep that does not stop the solve is followed
     by the gauge step :func:`_balance`, kept when it lowers the ridge term.
@@ -404,38 +406,41 @@ def solve(
     u, v = pair.U, pair.V
     build = _normal_equations(problem)
     current, trace, fallbacks = None, [], 0
-    for iterations in range(1, max_sweeps + 1):
-        sweep_start, stop = current, None
-        for side in ("U", "V"):
-            gram, rhs, misfit = build(v if side == "U" else u, side)
-            if current is None:  # the first system also prices the starting pair
-                current = sweep_start = _with_ridge(problem, misfit(u), u, v)
-                if not math.isfinite(current):
-                    raise DivergenceError("initial objective is non-finite", pair, [])
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow shows in the objective
+        for iterations in range(1, max_sweeps + 1):
+            sweep_start, stop = current, None
+            for side in ("U", "V"):
+                gram, rhs, misfit = build(v if side == "U" else u, side)
+                if current is None:  # the first system also prices the starting pair
+                    current = sweep_start = _with_ridge(problem, misfit(u), u, v)
+                    if not math.isfinite(current):
+                        raise DivergenceError("initial objective is non-finite", pair, [])
+                    trace.append(current)
+                factor, fell_back = _ridge_solve(problem, gram, rhs)
+                fallbacks += fell_back
+                del gram, rhs  # the next half-sweep's assembly must not hold this Gram too
+                cand_u, cand_v = (factor, v) if side == "U" else (u, factor)
+                fit = misfit(factor)
+                cand_obj = _with_ridge(problem, fit, cand_u, cand_v)
+                if not math.isfinite(cand_obj):
+                    raise DivergenceError(
+                        "objective became non-finite", FactorPair(u, v), trace
+                    )
+                if cand_obj > current:
+                    stop = "stagnated"
+                    break
+                u, v = cand_u, cand_v
+                current = cand_obj
                 trace.append(current)
-            factor, fell_back = _ridge_solve(problem, gram, rhs)
-            fallbacks += fell_back
-            del gram, rhs  # the next half-sweep's assembly must not hold this Gram too
-            cand_u, cand_v = (factor, v) if side == "U" else (u, factor)
-            fit = misfit(factor)
-            cand_obj = _with_ridge(problem, fit, cand_u, cand_v)
-            if not math.isfinite(cand_obj):
-                raise DivergenceError("objective became non-finite", FactorPair(u, v), trace)
-            if cand_obj > current:
-                stop = "stagnated"
+            if stop is None and sweep_start - current <= tol * max(abs(sweep_start), 1e-300):
+                stop = "tol"
+            if stop or iterations == max_sweeps:
                 break
-            u, v = cand_u, cand_v
-            current = cand_obj
-            trace.append(current)
-        if stop is None and sweep_start - current <= tol * max(abs(sweep_start), 1e-300):
-            stop = "tol"
-        if stop or iterations == max_sweeps:
-            break
-        if problem.gamma > 0.0:  # the last accepted half-sweep was V's: fit is the pair's
-            bal_u, bal_v = _balance(u, v)
-            balanced = _with_ridge(problem, fit, bal_u, bal_v)
-            if balanced < current:
-                u, v, current = bal_u, bal_v, balanced
+            if problem.gamma > 0.0:  # the last accepted half-sweep was V's: fit is the pair's
+                bal_u, bal_v = _balance(u, v)
+                balanced = _with_ridge(problem, fit, bal_u, bal_v)
+                if balanced < current:
+                    u, v, current = bal_u, bal_v, balanced
     x_hat = u @ v.T
     clip_applied = False
     if problem.max_entry is not None:

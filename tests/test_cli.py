@@ -737,10 +737,49 @@ _REQUIRED_ONLY = {
     ),
 }
 
+# The commands without --config, each with only its required flags, and
+# every option they resolve to; "{in}" and "{out}" stand for paths.
+_REQUIRED_ONLY_PLAIN = {
+    "solve": (
+        ["--bundle", "{in}", "--weights", "equal", "--rank", "2", "--out-x", "{out}"],
+        {"bundle": "{in}", "weights": "equal", "kappa": None, "rank": 2, "gamma": 0.0,
+         "init": "spectral", "max_sweeps": 500, "tol": 1e-8, "max_entry": None,
+         "out_x": "{out}", "out_trace": None, "seed": None},
+    ),
+    "ratings ingest": (
+        ["--in", "{in}"],
+        {"infile": "{in}", "min_user_ratings": 1, "min_item_ratings": 1, "out": None},
+    ),
+    "ratings cv": (
+        ["--in", "{in}", "--d", "2", "--rank", "2", "--out", "{out}", "--seed", "5"],
+        {"infile": "{in}", "d": 2, "rank": 2, "gamma": 1.0,
+         "kappa_grid": [0.0, 0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0], "folds": 5,
+         "test_frac": 0.1, "out": "{out}", "seed": 5},
+    ),
+    "ratings eval": (
+        ["--in", "{in}", "--d", "2", "--rank", "2", "--kappa", "1", "--out", "{out}",
+         "--seed", "5"],
+        {"infile": "{in}", "d": 2, "rank": 2, "gamma": 1.0, "kappa": 1.0, "restarts": 10,
+         "test_frac": 0.1, "out": "{out}", "seed": 5},
+    ),
+}
+
 
 class TestOptionResolution:
-    """Pins what each --config command resolves and logs, so that the
-    defaults of every option stay where they are."""
+    """Pins what each command resolves and logs, so that the defaults of
+    every option stay where they are."""
+
+    @pytest.mark.parametrize("command", sorted(_REQUIRED_ONLY_PLAIN))
+    def test_required_flags_only_without_config(self, capsys, tmp_path, bundle_path,
+                                                ratings_csv, command):
+        flags, expected = _REQUIRED_ONLY_PLAIN[command]
+        paths = {"{in}": str(bundle_path if command == "solve" else ratings_csv),
+                 "{out}": str(tmp_path / "out")}
+        code, _, err = _run(capsys, [*command.split(), *[paths.get(f, f) for f in flags]])
+        assert code == 0, err
+        assert _config_log(err, command) == {
+            k: paths.get(v, v) if isinstance(v, str) else v for k, v in expected.items()
+        }
 
     @pytest.mark.parametrize(
         "command",

@@ -214,8 +214,8 @@ def test_non_finite_product_prices_nan_and_solve_diverges():
         assert np.all(np.isfinite(u))
         assert math.isnan(misfit(u))
         assert math.isfinite(misfit(u0))
-        with pytest.raises(DivergenceError, match="^objective became non-finite$") as err:
-            solve(problem, init=FactorPair(u0, v))
+    with pytest.raises(DivergenceError, match="^objective became non-finite$") as err:
+        solve(problem, init=FactorPair(u0, v))
     np.testing.assert_array_equal(err.value.factors.U, u0)
     np.testing.assert_array_equal(err.value.factors.V, v)
     np.testing.assert_array_equal(err.value.trace, [misfit(u0)])

@@ -302,7 +302,7 @@ class TestSolve:
         bad_y[0] = np.full_like(bad_y[0], 1e300)  # finite; its squares overflow
         obs = ObservationSet(problem.obs.ops, tuple(bad_y), problem.obs.noise_std)
         prob = LowemsProblem(obs, problem.weights, rank=2)
-        with pytest.raises(DivergenceError) as err, np.errstate(over="ignore"):
+        with pytest.raises(DivergenceError) as err:
             solve(prob, init="random", rng=RandomStream(1))
         assert isinstance(err.value.factors, FactorPair)
         assert err.value.trace.size == 0
@@ -320,9 +320,29 @@ class TestSolve:
             raise AssertionError("a system was solved")
 
         monkeypatch.setattr(solver_module, "_solve_systems", refuse)
-        with pytest.raises(DivergenceError, match="initial") as err, np.errstate(over="ignore"):
+        with pytest.raises(DivergenceError, match="initial") as err:
             solve(prob, init="random", rng=RandomStream(1))
         assert err.value.trace.size == 0
+
+    @pytest.mark.parametrize("variant", ["sampling", "gaussian"])
+    def test_diverging_solve_raises_without_numpy_warnings(self, variant):
+        # the sampling start overflows the Grams' outer products (then 0 * inf
+        # at the unobserved entries) and the misfit's product; the sensing
+        # start overflows the V half-sweep's Gram
+        if variant == "sampling":
+            rows, cols = np.array([0, 1, 2, 3, 0, 1]), np.array([0, 1, 2, 0, 2, 0])
+            obs = ObservationSet((SamplingOperator(4, 3, rows, cols),), (np.ones(6),), 0.0)
+            problem = LowemsProblem(obs, WeightVector(np.ones(1)), 1)
+            start = FactorPair(np.full((4, 1), 1e200), np.full((3, 1), 1e200))
+        else:
+            problem, _ = _planted_problem(
+                n1=4, n2=3, rank=1, d=1, drift_std=0.0, variant="gaussian", m0=30, seed=218
+            )
+            start = FactorPair(np.full((4, 1), 1e160), np.full((3, 1), 1e-160))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError):
+                solve(problem, init=start)
 
     def test_overflowing_gram_raises_divergence_error_without_fallback(self, capfd):
         # a finite start whose product is about 1: the U half-sweep's Gram is
@@ -332,7 +352,7 @@ class TestSolve:
             n1=4, n2=3, rank=1, d=1, drift_std=0.0, variant="gaussian", m0=30, seed=218
         )
         start = FactorPair(np.full((4, 1), 1e160), np.full((3, 1), 1e-160))
-        with warnings.catch_warnings(record=True) as record, np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
             with pytest.raises(DivergenceError, match="^objective became non-finite$") as err:
                 solve(problem, init=start)
@@ -411,9 +431,7 @@ class TestInitPair:
             raise AssertionError("a system was solved")
 
         monkeypatch.setattr(solver_module, "_solve_systems", refuse)
-        # pricing an inf sensing factor computes inf * 0 in its design products
-        with pytest.raises(DivergenceError, match="^initial objective is non-finite$") as err, \
-                np.errstate(invalid="ignore"):
+        with pytest.raises(DivergenceError, match="^initial objective is non-finite$") as err:
             solve(problem, init=FactorPair(factors["U"], factors["V"]))
         assert err.value.trace.size == 0
         np.testing.assert_array_equal(err.value.factors.U, factors["U"])  # as given
