@@ -2,8 +2,8 @@
 splitting, noise-ratio cross-validation, and held-out evaluation.
 
 Conventions: items index rows of the rating matrix, users index columns.
-A rating file is CSV with header ``user_id,item_id,rating,timestamp``
-(integer ids and timestamps, real-valued ratings).  Users may re-rate an
+A rating file is UTF-8 CSV with header ``user_id,item_id,rating,timestamp``
+(int64 ids and timestamps, finite real-valued ratings).  Users may re-rate an
 item at a later timestamp; those records are kept — they carry the temporal
 signal — while exact duplicate (user, item, timestamp) triples are dropped,
 the last occurrence in file order winning.
@@ -11,7 +11,9 @@ the last occurrence in file order winning.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -27,6 +29,9 @@ from .solver import DivergenceError, FactorPair, LowemsProblem, solve
 from .weights import optimal_weights
 
 HEADER = ("user_id", "item_id", "rating", "timestamp")
+_HEADER_LINES = tuple(",".join(HEADER).encode() + end for end in (b"", b"\r"))
+_NUMERIC_BYTES = b"0123456789+-.eE, \t\r\n"
+_RECORD = np.dtype([(name, float if name == "rating" else np.int64) for name in HEADER])
 TEST_FRACTIONS = Range(lambda f: 0 <= f < 1, "in [0, 1)")
 BIN_WIDTH = 10_000  # timestamp ticks per planted window of synthetic_ratings
 
@@ -94,47 +99,99 @@ def _dedup_triples(users, items, values, stamps):
     return users[kept], items[kept], values[kept], stamps[kept]
 
 
-def ingest(path) -> RatingsTable:
-    """Parse a ratings CSV into a :class:`RatingsTable`.
-
-    Raises ``ValueError`` with the offending line number on malformed rows,
-    and on an empty file or wrong header.
-    """
+def _columns_csv(path, raw: bytes):
+    """The four columns of the ratings file ``raw``, parsed with
+    ``csv.reader`` and Python's ``int`` and ``float``: the reference parse,
+    and the one that names the line of every malformed record."""
+    try:  # the whole file first, so that a bad byte is named by its line
+        raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object is raw without its BOM
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: not valid UTF-8") from None
     users, items, values, stamps = [], [], [], []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    if tuple(h.strip() for h in header) != HEADER:
+        raise ValueError(
+            f"{path}: expected header {','.join(HEADER)}, got {','.join(header)}"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != 4:
+            raise ValueError(f"{path}: line {lineno}: expected 4 fields")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != HEADER:
+            users.append(int(row[0]))
+            items.append(int(row[1]))
+            rating = float(row[2])
+            stamps.append(int(row[3]))
+        except ValueError:
             raise ValueError(
-                f"{path}: expected header {','.join(HEADER)}, got {','.join(header)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise ValueError(f"{path}: line {lineno}: expected 4 fields")
-            try:
-                users.append(int(row[0]))
-                items.append(int(row[1]))
-                rating = float(row[2])
-                stamps.append(int(row[3]))
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: malformed record {row!r}"
-                ) from None
-            if not math.isfinite(rating):
-                raise ValueError(f"{path}: line {lineno}: non-finite rating")
-            values.append(rating)
+                f"{path}: line {lineno}: malformed record {row!r}"
+            ) from None
+        if not math.isfinite(rating):
+            raise ValueError(f"{path}: line {lineno}: non-finite rating")
+        values.append(rating)
     if not users:
         raise ValueError(f"{path}: no data rows")
-    arrays = _dedup_triples(
-        np.asarray(users, dtype=np.int64),
-        np.asarray(items, dtype=np.int64),
-        np.asarray(values, dtype=float),
-        np.asarray(stamps, dtype=np.int64),
-    )
-    return _build_table(*arrays)
+    columns = (users, items, values, stamps)
+    try:
+        return tuple(np.asarray(c, dtype=_RECORD[j]) for j, c in enumerate(columns))
+    except OverflowError:  # record k is on line k + 2
+        k = next(k for k, ints in enumerate(zip(users, items, stamps))
+                 if not all(-(2**63) <= v < 2**63 for v in ints))
+        raise ValueError(f"{path}: line {k + 2}: id or timestamp outside int64") from None
+
+
+def _columns_numpy(raw: bytes):
+    """The four columns of the ratings file ``raw`` from one ``np.loadtxt``
+    call, or ``None`` wherever that parse might differ from
+    :func:`_columns_csv`'s.
+
+    Only a file with the exact header and a body made of ``_NUMERIC_BYTES``
+    is parsed: loadtxt reads many non-ASCII characters as digits, and strips
+    ``\\x1c``-``\\x1f`` around a number, which ``int`` and ``float`` refuse.
+    A line longer than csv's field size limit might hold a field that csv
+    refuses.  The parse is kept only if it raised no error or warning (it
+    refuses a ``\\r`` inside a line; numpy before 2.0 warns on ``1.0`` in an
+    integer column), it found one row per line (it skips blank lines, which
+    csv refuses), and every rating is finite.
+    """
+    head, _, body = raw.removeprefix(codecs.BOM_UTF8).partition(b"\n")
+    if head not in _HEADER_LINES or body.translate(None, _NUMERIC_BYTES):
+        return None
+    buf = np.frombuffer(body, dtype=np.uint8)
+    lines = np.diff(np.flatnonzero(buf == ord("\n")), prepend=-1, append=buf.size)
+    if lines.max() > csv.field_size_limit():  # lines[k]: line k's length + 1
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(io.BytesIO(body), dtype=_RECORD, delimiter=",",
+                              comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    if rows.size != lines.size - body.endswith(b"\n") or not np.isfinite(rows["rating"]).all():
+        return None
+    return tuple(rows[name] for name in HEADER)
+
+
+def ingest(path) -> RatingsTable:
+    """Parse a UTF-8 ratings CSV into a :class:`RatingsTable`.
+
+    The file is read once.  A plain numeric file is parsed by numpy; any
+    other file, and any file whose numpy parse might differ, by
+    ``csv.reader``, to the same table.  Raises ``ValueError`` with the
+    offending line number on malformed rows, ids or timestamps outside
+    int64, and bytes that are not UTF-8, and on an empty file or wrong
+    header.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    columns = _dedup_triples(*(_columns_numpy(raw) or _columns_csv(path, raw)))
+    del raw  # the file's bytes, freed before the table's index arrays are built
+    return _build_table(*columns)
 
 
 def table_to_csv(table: RatingsTable, path) -> None:

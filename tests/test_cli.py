@@ -553,6 +553,13 @@ class TestRatingsPipeline:
         assert code == 0
         assert "after truncation" in out
 
+    def test_ingest_names_the_line_of_an_id_outside_int64(self, capsys, tmp_path):
+        bad = tmp_path / "big.csv"
+        bad.write_text("user_id,item_id,rating,timestamp\n1,2,3.0,4\n99999999999999999999,2,3.0,4\n")
+        code, _, err = _run(capsys, ["ratings", "ingest", "--in", str(bad)])
+        assert code == 2
+        assert f"lowems: failed: {bad}: line 3: id or timestamp outside int64" in err
+
     def test_cv_writes_grid_csv(self, capsys, ratings_csv, tmp_path):
         out = tmp_path / "cv.csv"
         code, stdout, err = _run(

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import gc
 import math
@@ -176,6 +177,198 @@ class TestIngest:
         np.testing.assert_array_equal(table.item_ids, again.item_ids)
         np.testing.assert_array_equal(table.ratings, again.ratings)
         np.testing.assert_array_equal(table.timestamps, again.timestamps)
+
+
+_TABLE_FIELDS = ("user_ids", "item_ids", "ratings", "timestamps", "user_cols", "item_rows")
+_HEAD = ",".join(HEADER)
+
+
+def _ingest_corpus():
+    """Ratings files, by name, that probe where numpy's ``loadtxt`` and the
+    csv path could part: line ends, blank lines, quoting, whitespace, number
+    spellings, non-finite and out-of-range values, field counts and bytes."""
+    gen = RandomStream(2801).generator()
+    n = 300
+    digits17 = "\n".join(
+        f"{u},{i},{r:.17g},{t}"
+        for u, i, r, t in zip(
+            gen.integers(-50, 50, n), gen.integers(0, 10**12, n),
+            gen.uniform(-5, 5, n) * 10.0 ** gen.integers(-300, 300, n),
+            gen.integers(-(2**62), 2**62, n),
+        )
+    )
+    rows = "7,300,4.0,100\n3,100,2.5,50\n7,100,5.0,75\n"
+    body = {
+        "plain": rows,
+        "crlf": rows.replace("\n", "\r\n"),
+        "lone_cr": rows.replace("\n", "\r"),
+        "lone_cr_mid": "7,300,4.0,100\r3,100,2.5,50\n",
+        "cr_cr_lf": "7,300,4.0,100\r\r\n3,100,2.5,50\n",
+        "cr_at_end": rows.rstrip("\n") + "\r",
+        "cr_line_at_end": rows + "\r",
+        "blank_mid": "7,300,4.0,100\n\n3,100,2.5,50\n",
+        "blank_trailing": rows + "\n",
+        "blank_trailing_crlf": rows.replace("\n", "\r\n") + "\r\n",
+        "whitespace_line": "7,300,4.0,100\n \n3,100,2.5,50\n",
+        "no_final_newline": rows.rstrip("\n"),
+        "comment_suffix": "1,2,3.0,4#x\n",
+        "comment_line": "#1,2,3.0,4\n1,2,3.0,4\n",
+        "quoted": '"7","300","4.0","100"\n',
+        "quoted_newline": '7,300,"4.0\n",100\n',
+        "spaces": " 7 , 300,4.0 ,100 \n",
+        "tabs": "\t7,300\t,\t4.0,100\t\n",
+        "form_feed": "7\x0c,300,4.0,100\n",
+        "info_separator": "7\x1c,300,4.0,100\n",
+        "nul": "7,300,4.0,100\x00\n",
+        "underscore_int": "1_000,300,4.0,100\n",
+        "underscore_float": "7,300,1_0.5,100\n",
+        "plus_sign": "+5,300,+4.5,+100\n",
+        "leading_zeros": "007,0300,04.0,0100\n",
+        "exponent_in_int": "1e3,300,4.0,100\n",
+        "decimal_in_int": "1.0,300,4.0,100\n",
+        "exponent_rating": "7,300,4e-1,100\n7,301,1E+2,100\n7,302,.5,100\n7,303,5.,100\n",
+        "negative_zero": "-0,300,-0.0,-0\n",
+        "unicode_digit": "٣,300,4.0,100\n",
+        "unicode_float": "7,300,٣.5,100\n",
+        "fullwidth_digit": "７,300,4.0,100\n",
+        "letter_loadtxt_reads_as_digits": "Ǿ1,300,4.0,100\n",
+        "unicode_space": "7　,300,4.0\xa0,100\n",
+        "nan": "7,300,nan,100\n",
+        "inf": "7,300,-inf,100\n",
+        "overflow_to_inf": "7,300,1e400,100\n",
+        "nan_id": "nan,300,4.0,100\n",
+        "empty_field": "7,,4.0,100\n",
+        "trailing_comma": "7,300,4.0,100,\n",
+        "three_fields": "7,300,4.0\n",
+        "five_fields": "7,300,4.0,100,1\n",
+        "duplicates": "1,1,3.0,10\n1,1,5.0,10\n1,1,4.0,20\n2,1,1.0,10\n1,1,6.0,10\n",
+        "one_row": "7,300,4.0,100\n",
+        "int64_edges": f"{2**63 - 1},{-(2**63)},4.0,{2**63 - 1}\n",
+        "user_above_int64": f"{2**63},300,4.0,100\n",
+        "item_below_int64": f"7,{-(2**63) - 1},4.0,100\n",
+        "timestamp_far_out": "7,300,4.0,99999999999999999999\n",
+        "long_field": "7,300,4.0," + " " * 131_072 + "100\n",
+        "digits17": digits17,
+        "digits17_crlf": digits17.replace("\n", "\r\n") + "\r\n",
+    }
+    corpus = {name: f"{_HEAD}\n{text}".encode() for name, text in body.items()}
+    corpus |= {
+        "bom": codecs.BOM_UTF8 + corpus["plain"],
+        "bom_crlf": codecs.BOM_UTF8 + corpus["crlf"],
+        "double_bom": 2 * codecs.BOM_UTF8 + corpus["plain"],
+        "header_crlf_body_lf": f"{_HEAD}\r\n{rows}".encode(),
+        "header_quoted": ('"' + '","'.join(HEADER) + '"\n' + rows).encode(),
+        "header_spaced": (" , ".join(HEADER) + "\n" + rows).encode(),
+        "header_wrong": ("user,item,score,when\n" + rows).encode(),
+        "header_only": f"{_HEAD}\n".encode(),
+        "header_only_no_newline": _HEAD.encode(),
+        "empty": b"",
+        "bom_only": codecs.BOM_UTF8,
+        "non_utf8": f"{_HEAD}\n{rows}7,300,4".encode() + b"\xff" + b".0,100\n",
+        "non_utf8_after_bom": codecs.BOM_UTF8 + f"{_HEAD}\n1,2,3.0,4\n".encode() + b"\xc3(",
+    }
+    return corpus
+
+
+# files the numpy parse must take: a regression that sends them to the csv
+# path fails test_paths_agree_on_the_corpus
+_NUMPY_FILES = {
+    "plain", "crlf", "no_final_newline", "cr_at_end", "spaces", "tabs", "plus_sign",
+    "leading_zeros", "exponent_rating", "negative_zero", "duplicates", "one_row",
+    "int64_edges", "digits17", "digits17_crlf", "bom", "bom_crlf", "header_crlf_body_lf",
+}
+
+
+def _table_or_message(parse, path):
+    try:
+        return parse(path)
+    except (ValueError, csv.Error) as exc:
+        return str(exc)
+
+
+def _csv_path_table(path):
+    return ratings._build_table(*_dedup_triples(*ratings._columns_csv(path, path.read_bytes())))
+
+
+def _assert_same_bits(got, expected, label):
+    for a, b in zip(got, expected, strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), label
+
+
+class TestIngestPaths:
+    """``ingest`` parses a plain numeric file with numpy and any other file
+    with the csv path: the csv path alone is the oracle."""
+
+    def test_paths_agree_on_the_corpus(self, tmp_path):
+        took_numpy = set()
+        for name, raw in _ingest_corpus().items():
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(raw)
+            expected = _table_or_message(_csv_path_table, path)
+            got = _table_or_message(ingest, path)
+            if isinstance(expected, str):
+                assert got == expected, name
+            else:
+                assert not isinstance(got, str), (name, got)
+                _assert_same_bits([getattr(got, f) for f in _TABLE_FIELDS],
+                                  [getattr(expected, f) for f in _TABLE_FIELDS], name)
+                assert (got.n_users, got.n_items) == (expected.n_users, expected.n_items)
+            columns = ratings._columns_numpy(raw)
+            if columns is not None:
+                took_numpy.add(name)
+                _assert_same_bits(columns, ratings._columns_csv(path, raw), name)
+        assert took_numpy == _NUMPY_FILES
+
+    def test_paths_agree_on_mutated_files(self, tmp_path):
+        # valid rows, a few with one random character inserted or one dropped,
+        # and a few files with CRLF or lone CR line ends or blank last lines
+        gen = RandomStream(2802).generator()
+        alphabet = list("0123456789+-.eE_, \t\r\n\x0b\x0c\x1c\"#nai") + ["٣", "\xa0"]
+        path = tmp_path / "m.csv"
+        took_numpy = 0
+        for _ in range(400):
+            lines = [_HEAD]
+            for _ in range(int(gen.integers(1, 4))):
+                line = (f"{gen.integers(-99, 99)},{gen.integers(0, 10**6)},"
+                        f"{gen.standard_normal():.17g},{gen.integers(0, 10**9)}")
+                if gen.random() < 0.3:
+                    at = int(gen.integers(0, len(line) + 1))
+                    line = line[:at] + alphabet[gen.integers(len(alphabet))] + line[at:]
+                if gen.random() < 0.1:
+                    at = int(gen.integers(0, len(line)))
+                    line = line[:at] + line[at + 1:]
+                lines.append(line)
+            end = ["\n", "\r\n", "\r"][gen.integers(3)] if gen.random() < 0.2 else "\n"
+            raw = (end.join(lines) + end * int(gen.integers(0, 3))).encode()
+            columns = ratings._columns_numpy(raw)
+            if columns is None:
+                continue
+            took_numpy += 1
+            path.write_bytes(raw)
+            assert not isinstance(_table_or_message(_csv_path_table, path), str), raw
+            _assert_same_bits(columns, ratings._columns_csv(path, raw), raw)
+        assert took_numpy >= 100
+
+    @pytest.mark.parametrize(
+        "record", [f"{2**63},1,1.0,1", f"1,{-(2**63) - 1},1.0,1", "1,1,1.0,99999999999999999999"]
+    )
+    def test_out_of_int64_is_refused_with_its_line(self, tmp_path, record):
+        path = _write_csv(tmp_path / "r.csv", [(1, 1, 1.0, 1)])
+        with open(path, "a", newline="") as fh:
+            fh.write(record + "\r\n")
+        with pytest.raises(ValueError) as exc:
+            ingest(path)
+        assert str(exc.value) == f"{path}: line 3: id or timestamp outside int64"
+
+    @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8])
+    def test_non_utf8_is_refused_with_its_line(self, tmp_path, bom):
+        # the bad byte opens line 4,002, far past the first 8 kB decode chunk,
+        # and right after a newline, which a count that ignores the BOM misses
+        path = _write_csv(tmp_path / "r.csv", [(u, 1, 1.0, u) for u in range(4000)])
+        path.write_bytes(bom + path.read_bytes() + b"\xe9,5,1.0,5\r\n")
+        with pytest.raises(ValueError) as exc:
+            ingest(path)
+        assert str(exc.value) == f"{path}: line 4002: not valid UTF-8"
 
 
 class TestTruncate:
