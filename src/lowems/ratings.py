@@ -16,6 +16,7 @@ import csv
 import io
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -100,48 +101,46 @@ def _dedup_triples(users, items, values, stamps):
 
 
 def _columns_csv(path, raw: bytes):
-    """The four columns of the ratings file ``raw``, parsed with
-    ``csv.reader`` and Python's ``int`` and ``float``: the reference parse,
-    and the one that names the line of every malformed record."""
-    try:  # the whole file first, so that a bad byte is named by its line
+    """The four columns of the ratings file ``raw``, parsed with ``csv.reader``
+    and Python's ``int`` and ``float``: the reference parse, which words every
+    refusal on csv's line (ended by ``\\r\\n``, ``\\r`` or ``\\n``; a record spanning
+    lines is on its last).  A bad byte is refused first, else the first faulty record."""
+    try:  # the whole file first, so that a bad byte is refused before any record
         raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:  # exc.object is raw without its BOM
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}: line {line}: not valid UTF-8") from None
-    users, items, values, stamps = [], [], [], []
+        n, r, rn = (exc.object.count(end, 0, exc.start) for end in (b"\n", b"\r", b"\r\n"))
+        raise ValueError(f"{path}: line {n + r - rn + 1}: not valid UTF-8") from None
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""))
+    users, items, values, stamps = columns = tuple(array(code) for code in "qqdq")
+
+    def refuse(what):
+        return ValueError(f"{path}: line {reader.line_num}: {what}")
+
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError(f"{path}: empty file") from None
-    if tuple(h.strip() for h in header) != HEADER:
-        raise ValueError(
-            f"{path}: expected header {','.join(HEADER)}, got {','.join(header)}"
-        )
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != 4:
-            raise ValueError(f"{path}: line {lineno}: expected 4 fields")
-        try:
-            users.append(int(row[0]))
-            items.append(int(row[1]))
-            rating = float(row[2])
-            stamps.append(int(row[3]))
-        except ValueError:
-            raise ValueError(
-                f"{path}: line {lineno}: malformed record {row!r}"
-            ) from None
-        if not math.isfinite(rating):
-            raise ValueError(f"{path}: line {lineno}: non-finite rating")
-        values.append(rating)
+        if (header := next(reader, None)) is None:
+            raise ValueError(f"{path}: empty file")
+        if tuple(h.strip() for h in header) != HEADER:
+            raise ValueError(f"{path}: expected header {','.join(HEADER)}, got {','.join(header)}")
+        for row in reader:
+            if len(row) != 4:
+                raise refuse("expected 4 fields")
+            try:  # a "q" array refuses an int outside int64
+                users.append(int(row[0]))
+                items.append(int(row[1]))
+                rating = float(row[2])
+                stamps.append(int(row[3]))
+            except ValueError:
+                raise refuse(f"malformed record {row!r}") from None
+            except OverflowError:
+                raise refuse("id or timestamp outside int64") from None
+            if not math.isfinite(rating):
+                raise refuse("non-finite rating")
+            values.append(rating)
+    except csv.Error as exc:  # such as a field past csv.field_size_limit()
+        raise refuse(exc) from None
     if not users:
         raise ValueError(f"{path}: no data rows")
-    columns = (users, items, values, stamps)
-    try:
-        return tuple(np.asarray(c, dtype=_RECORD[j]) for j, c in enumerate(columns))
-    except OverflowError:  # record k is on line k + 2
-        k = next(k for k, ints in enumerate(zip(users, items, stamps))
-                 if not all(-(2**63) <= v < 2**63 for v in ints))
-        raise ValueError(f"{path}: line {k + 2}: id or timestamp outside int64") from None
+    return tuple(np.frombuffer(c, dtype=_RECORD[j]) for j, c in enumerate(columns))
 
 
 def _columns_numpy(raw: bytes):
@@ -183,14 +182,15 @@ def ingest(path) -> RatingsTable:
     The file is read once.  A plain numeric file is parsed by numpy; any
     other file, and any file whose numpy parse might differ, by
     ``csv.reader``, to the same table.  Raises ``ValueError`` with the
-    offending line number on malformed rows, ids or timestamps outside
-    int64, and bytes that are not UTF-8, and on an empty file or wrong
-    header.
+    offending line number on malformed rows, ``csv`` errors, ids or
+    timestamps outside int64 and bytes that are not UTF-8, and on an empty
+    file or wrong header.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    columns = _dedup_triples(*(_columns_numpy(raw) or _columns_csv(path, raw)))
-    del raw  # the file's bytes, freed before the table's index arrays are built
+    columns = _columns_numpy(raw) or _columns_csv(path, raw)
+    del raw  # the file's bytes, freed before dedup and the table build
+    columns = _dedup_triples(*columns)  # the parsed columns, freed before the table build
     return _build_table(*columns)
 
 

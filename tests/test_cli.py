@@ -560,6 +560,13 @@ class TestRatingsPipeline:
         assert code == 2
         assert f"lowems: failed: {bad}: line 3: id or timestamp outside int64" in err
 
+    def test_ingest_names_the_line_of_a_field_past_csvs_limit(self, capsys, tmp_path):
+        bad = tmp_path / "long.csv"
+        bad.write_text("user_id,item_id,rating,timestamp\n1,2,3.0," + " " * 131_072 + "4\n")
+        code, _, err = _run(capsys, ["ratings", "ingest", "--in", str(bad)])
+        assert code == 2
+        assert f"lowems: failed: {bad}: line 2: field larger than field limit (131072)" in err
+
     def test_cv_writes_grid_csv(self, capsys, ratings_csv, tmp_path):
         out = tmp_path / "cv.csv"
         code, stdout, err = _run(

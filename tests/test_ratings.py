@@ -2,6 +2,7 @@ import codecs
 import csv
 import gc
 import math
+import tracemalloc
 import warnings
 import weakref
 
@@ -369,6 +370,58 @@ class TestIngestPaths:
         with pytest.raises(ValueError) as exc:
             ingest(path)
         assert str(exc.value) == f"{path}: line 4002: not valid UTF-8"
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            # lone \r line ends count as lines before a bad byte too
+            (b"\r1,2,3.0,4\r5,6,7.0,8\r\xff9,1,1.0,1\r", "line 4: not valid UTF-8"),
+            # the record with a quoted newline spans lines 2 and 3
+            (b'\n1,2,"3.0\n",4\n5,6,7.0,8\n9,x,1.0,1\n',
+             "line 5: malformed record ['9', 'x', '1.0', '1']"),
+            # csv's own error, in a record and in the header
+            (b"\n1,2,3.0," + b" " * 131_072 + b"4\n",
+             "line 2: field larger than field limit (131072)"),
+            (b" " * 131_072 + b"\n1,2,3.0,4\n", "line 1: field larger than field limit (131072)"),
+            # the first faulty record in file order, whatever its fault
+            (b"\n1,2,3.0,4\n1,99999999999999999999,1.0,1\n5,x,1.0,1\n",
+             "line 3: id or timestamp outside int64"),
+            (b"\r\n1,2,3.0,4\r\n1,2,inf,5\r\n" + f"{2**63},2,3.0,4\r\n".encode(),
+             "line 3: non-finite rating"),
+        ],
+        ids=["cr_before_bad_byte", "multiline_record", "long_field", "long_header_field",
+             "int64_before_malformed", "non_finite_before_int64"],
+    )
+    def test_refusals_name_csvs_line(self, tmp_path, body, message):
+        path = tmp_path / "r.csv"
+        path.write_bytes(_HEAD.encode() + body)
+        with pytest.raises(ValueError) as exc:
+            ingest(path)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_csv_path_holds_typed_columns(self, tmp_path):
+        # every field quoted, so only the csv path reads it; its columns cost
+        # 8 bytes a field, where Python lists of ints and floats cost far more
+        gen = RandomStream(2901).generator()
+        rows = 27_000
+        records = zip(gen.integers(10**5, 10**6, rows), gen.integers(10**5, 10**6, rows),
+                      gen.integers(1, 11, rows) / 2, gen.integers(10**8, 10**9, rows))
+        path = tmp_path / "quoted.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
+            writer.writerow(HEADER)
+            writer.writerows(records)
+        raw = path.read_bytes()
+        assert ratings._columns_numpy(raw) is None
+        tracemalloc.start()
+        try:
+            columns = ratings._columns_csv(path, raw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [c.size for c in columns] == [rows] * 4
+        assert peak <= len(raw) + 16 * rows, (peak / rows, len(raw) / rows)
 
 
 class TestTruncate:
