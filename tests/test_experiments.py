@@ -1,5 +1,12 @@
+import concurrent.futures
 import csv
+import dataclasses
 import math
+import multiprocessing
+import os
+import signal
+import warnings
+from concurrent.futures.process import BrokenProcessPool
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +26,7 @@ from lowems.experiments import (
     strategy_weights,
     theorem_diagnostics,
 )
-from lowems.solver import DivergenceError
+from lowems.solver import DivergenceError, RankDeficiencyWarning
 from lowems.weights import WeightVector, baseline_weights, optimal_weights
 
 
@@ -31,6 +38,24 @@ def _tiny_error_cfg(**overrides):
     )
     base.update(overrides)
     return SweepConfig(**base)
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Sweeps of any size see three usable CPUs, so ``threads`` 2 and 3
+    start that many workers on any machine with ``fork``."""
+    monkeypatch.setattr(experiments, "_workers", lambda: 3)
+    monkeypatch.setattr(experiments, "_POOL_MIN_ENTRIES", 0)
+
+
+def _assert_same_sweeps(results):
+    """Equal rows and bitwise-equal traces, in order; no worker left."""
+    first, *others = results
+    assert first.traces
+    for res in others:
+        assert res.rows == first.rows
+        assert [t.tobytes() for t in res.traces] == [t.tobytes() for t in first.traces]
+    assert multiprocessing.active_children() == []
 
 
 class TestRelativeError:
@@ -83,13 +108,13 @@ class TestErrorSweep:
             assert row.stddev >= 0
 
     @pytest.mark.filterwarnings("ignore::lowems.solver.RankDeficiencyWarning")
+    @pytest.mark.usefixtures("pooled")
     def test_deterministic_and_thread_invariant(self):
-        cfg = _tiny_error_cfg()
-        a = run_error_sweep(cfg)
-        b = run_error_sweep(cfg)
-        c = run_error_sweep(_tiny_error_cfg(threads=3))
-        for x, y, z in zip(a.rows, b.rows, c.rows):
-            assert x == y == z
+        for variant in ("sampling", "gaussian"):
+            _assert_same_sweeps([
+                run_error_sweep(_tiny_error_cfg(variant=variant, threads=threads))
+                for threads in (1, 1, 2, 3)
+            ])
 
     def test_zero_drift_makes_strategies_coincide(self):
         cfg = _tiny_error_cfg(drift_grid=(0.0,), strategies=("equal", "optimal"))
@@ -200,17 +225,16 @@ class TestSampleSweep:
         assert rows[1][2] == "not_achieved"
 
     @pytest.mark.filterwarnings("ignore::lowems.solver.RankDeficiencyWarning")
+    @pytest.mark.usefixtures("pooled")
     def test_deterministic_and_thread_invariant(self):
-        cfg = _tiny_error_cfg(
-            m0=None, trials=2, p_grid=(0.2, 0.5, 0.9), noise_std=0.0,
-        )
-        a = run_sample_sweep(cfg)
-        b = run_sample_sweep(
-            _tiny_error_cfg(
-                m0=None, trials=2, p_grid=(0.2, 0.5, 0.9), noise_std=0.0, threads=4
-            )
-        )
-        assert [r for r in a.rows] == [r for r in b.rows]
+        for variant in ("sampling", "gaussian"):
+            _assert_same_sweeps([
+                run_sample_sweep(_tiny_error_cfg(
+                    m0=None, trials=2, p_grid=(0.2, 0.5, 0.9), noise_std=0.0,
+                    variant=variant, threads=threads,
+                ))
+                for threads in (1, 2, 3)
+            ])
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -298,6 +322,99 @@ class TestSampleSweep:
         assert grid[0] == pytest.approx(0.02)
         assert grid[-1] == pytest.approx(1.0)
         assert list(grid) == sorted(grid)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="without fork the sweeps run inline")
+@pytest.mark.usefixtures("pooled")
+class TestWorkerPool:
+    def test_rank_warnings_come_back_as_issued_inline(self):
+        issued = []
+        for threads in (1, 2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run_error_sweep(_tiny_error_cfg(trials=2, threads=threads))
+            issued.append([
+                (str(w.message), w.filename, w.lineno)
+                for w in caught if w.category is RankDeficiencyWarning
+            ])
+        assert issued[0] and issued[1] == issued[0]
+
+    def test_a_worker_divergence_reaches_the_caller(self, monkeypatch):
+        # each worker runs its own copy of the script from where the fork left it
+        TestSampleSweep._scripted(monkeypatch, [None, 0.1, 0.1] * 2)
+        cfg = dataclasses.replace(
+            TestSampleSweep._scripted_cfg(trials=3, p_grid=(0.3,)),
+            strategies=("equal", "last_only"), threads=2,
+        )
+        with pytest.warns(RuntimeWarning, match="diverged") as record:
+            res = run_sample_sweep(cfg)
+        assert [row.min_p for row in res.rows] == [None, None] and len(res.traces) == 4
+        assert [str(w.message) for w in record] == [
+            f"solver diverged (strategy={s}, drift=0.0)" for s in cfg.strategies
+        ]
+
+    def test_a_cell_error_is_raised_and_leaves_no_worker(self, monkeypatch):
+        def fail(problem, **kwargs):
+            raise ValueError("scripted cell failure")
+
+        monkeypatch.setattr(experiments, "solve", fail)
+        with pytest.raises(ValueError, match="scripted cell failure"):
+            run_error_sweep(_tiny_error_cfg(trials=2, threads=2))
+        assert multiprocessing.active_children() == []
+
+    def test_a_dead_worker_raises(self, monkeypatch):
+        parent = os.getpid()
+
+        def die(problem, **kwargs):
+            if os.getpid() == parent:
+                raise AssertionError("solved in the calling process")
+            os._exit(3)
+
+        def hung(signum, frame):
+            pytest.fail("the sweep waited on a dead worker")
+
+        monkeypatch.setattr(experiments, "solve", die)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                run_error_sweep(_tiny_error_cfg(trials=2, threads=2))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.filterwarnings("ignore::lowems.solver.RankDeficiencyWarning")
+    def test_workers_are_capped_by_items_cpus_and_size(self, monkeypatch):
+        requested = []
+
+        class Recording:  # maps inline: starts no process
+            def __init__(self, max_workers, mp_context=None):
+                requested.append(max_workers)
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        two_cells = _tiny_error_cfg(trials=1, threads=10**6)
+        monkeypatch.setattr(experiments, "_workers", lambda: 64)
+        run_error_sweep(two_cells)
+        monkeypatch.setattr(experiments, "_workers", lambda: 1)
+        run_error_sweep(two_cells)
+        assert requested == [2]
+        # two lanes of two densities x two trials, two bins of 12 x 10 entries
+        two_lanes = _tiny_error_cfg(
+            m0=None, trials=2, p_grid=(0.3, 0.9), drift_grid=(0.1,),
+            strategies=("equal", "last_only"), threads=2,
+        )
+        monkeypatch.setattr(experiments, "_workers", lambda: 64)
+        for least in (1920, 1921):
+            monkeypatch.setattr(experiments, "_POOL_MIN_ENTRIES", least)
+            run_sample_sweep(two_lanes)
+        assert requested == [2, 2]
 
 
 class TestBoundShape:
