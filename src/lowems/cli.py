@@ -24,11 +24,8 @@ import numpy as np
 
 from . import __version__, ratings
 from .bundles import load_bundle, save_bundle
-from .core import (
-    COUNT, FLOAT_FORMAT, NONNEGATIVE, POSITIVE, SEEDS, RandomStream, check_rank, write_csv
-)
+from .core import FLOAT_FORMAT, RULES, RandomStream, check_rank, write_csv
 from .experiments import (
-    DENSITIES,
     STRATEGIES,
     SweepConfig,
     _cell_data,
@@ -56,18 +53,6 @@ def _str_list(value) -> tuple[str, ...]:
     if isinstance(value, str):
         return tuple(p.strip() for p in value.split(",") if p.strip() != "")
     return tuple(str(v) for v in value)
-
-
-# The valid values of every numeric option, by destination: the library's
-# own rules, so the command line refuses what the library would.
-_RANGES = {
-    "seed": SEEDS, "max_entry": POSITIVE, "p_grid": DENSITIES,
-    "test_frac": ratings.TEST_FRACTIONS,
-    **dict.fromkeys(("n1", "n2", "rank", "d", "m0", "trials", "max_sweeps", "threads",
-                     "folds", "restarts", "min_user_ratings", "min_item_ratings"), COUNT),
-    **dict.fromkeys(("noise_std", "drift_std", "drift_grid", "gamma", "tol", "kappa",
-                     "kappa_grid", "success_threshold"), NONNEGATIVE),
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,14 +97,14 @@ class _Parser(argparse.ArgumentParser):
         namespace, extras = super().parse_known_args(args, namespace)
         # One pass, for flags and file values alike and before anything is
         # written: a required option must be set, and a numeric value must lie
-        # in its option's range (NaN never does).
+        # in the library's rule for its destination (NaN never does).
         for action in self._actions:
             value = getattr(namespace, action.dest, None)
             if value is None and action in self.required_options:
                 raise UsageError(f"missing required option {action.option_strings[0]}")
-            if action.dest not in _RANGES or value is None:
+            if action.dest not in RULES or value is None:
                 continue
-            valid = _RANGES[action.dest]
+            valid = RULES[action.dest]
             for v in value if isinstance(value, tuple) else (value,):
                 if v not in valid:
                     flag = action.option_strings[0]
@@ -377,9 +362,10 @@ def _cmd_ratings_eval(args) -> int:
     except ratings.EmptyResultError as exc:
         raise UsageError(f"--test-frac {args.test_frac}: {exc}") from None
     result.to_csv(args.out)
+    finite = result.rmse[np.isfinite(result.rmse)]  # without diverged restarts
     print(
-        f"test_rmse mean {FLOAT_FORMAT % np.mean(result.rmse)} "
-        f"min {FLOAT_FORMAT % np.min(result.rmse)} "
+        f"test_rmse mean {FLOAT_FORMAT % np.mean(finite)} "
+        f"min {FLOAT_FORMAT % np.min(finite)} "
         f"(used={result.n_used}, excluded={result.n_excluded})"
     )
     print(f"wrote {args.out}")
@@ -445,7 +431,8 @@ def build_parser() -> _Parser:
         sw.add_config_option("--trials", type=int, default=10)
         sw.add_config_option("--variant", choices=VARIANTS, default="sampling")
         add_solver_settings(sw.add_config_option)
-        sw.add_argument("--threads", type=int, default=1)
+        sw.add_argument("--threads", type=int, default=1, help="worker processes for the "
+                        "cells, at most the usable CPUs; results are unchanged")
         sw.add_argument("--out", required=True)
         if name == "sweep-error":
             sw.add_argument("--diagnostics-out")

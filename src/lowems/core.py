@@ -1,6 +1,6 @@
-"""Primitives shared across the package: keyed random streams, the valid
-ranges of numeric settings, small dense-matrix helpers, and the package's
-one CSV table writer.
+"""Primitives shared across the package: keyed random streams, the rules
+of numeric settings (:data:`RULES`), small dense-matrix helpers, and the
+package's one CSV table writer.
 
 Reproducibility contract
 ------------------------
@@ -39,9 +39,8 @@ FLOAT_FORMAT = "%.17g"
 
 @dataclass(frozen=True)
 class Range:
-    """The valid values of a numeric setting, stated once for the library's
-    checks and the command line's: ``value in range`` (never true for NaN),
-    and ``str(range)`` words the rule for an error message."""
+    """The valid values of a numeric setting: ``value in range`` (never true
+    for NaN), and ``str(range)`` words the rule for an error message."""
 
     test: Callable[[float], bool]
     text: str
@@ -54,9 +53,33 @@ class Range:
 
 
 COUNT = Range(lambda v: v >= 1, "at least 1")
-POSITIVE = Range(lambda v: v > 0, "positive")
 NONNEGATIVE = Range(lambda v: v >= 0, "nonnegative")
-SEEDS = Range(lambda v: 0 <= v < 2**64, "in [0, 2**64)")
+DENSITIES = Range(lambda p: 0 < p <= 1, "in (0, 1]")
+TEST_FRACTIONS = Range(lambda f: 0 <= f < 1, "in [0, 1)")
+
+# Every numeric setting's rule, by name, stated once: the library's checks
+# read it through check_settings, and the command line's options by their
+# destinations.  A grid's rule holds for each of its entries.
+RULES = {
+    "seed": Range(lambda v: 0 <= v < 2**64, "in [0, 2**64)"),
+    "max_entry": Range(lambda v: v > 0, "positive"),
+    "p_grid": DENSITIES, "fill": DENSITIES, "test_frac": TEST_FRACTIONS,
+    **dict.fromkeys(("n1", "n2", "rank", "d", "m", "m0", "m_total", "trials", "max_sweeps",
+                     "threads", "folds", "restarts", "min_user_ratings",
+                     "min_item_ratings"), COUNT),
+    **dict.fromkeys(("noise_std", "drift_std", "drift_grid", "gamma", "tol", "kappa",
+                     "kappa_grid", "success_threshold"), NONNEGATIVE),
+}
+
+
+def check_settings(**values) -> None:
+    """Refuse a setting, or any entry of a tuple or list of them, outside its
+    rule in :data:`RULES`; ``None`` means not given."""
+    for name, value in values.items():
+        rule = RULES[name]
+        for v in value if isinstance(value, (tuple, list)) else (value,):
+            if v is not None and v not in rule:
+                raise ValueError(f"{name} must be {rule}, got {v!r}")
 
 
 def _mix64(a: int, b: int) -> int:
@@ -87,7 +110,7 @@ class RandomStream:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)):
                 raise TypeError(f"{name} must be an integer")
-            if int(value) not in SEEDS:
+            if int(value) not in RULES["seed"]:
                 raise ValueError(f"{name} must fit in an unsigned 64-bit int")
             object.__setattr__(self, name, int(value))
 
@@ -120,8 +143,10 @@ def check_matrix(m, name: str = "matrix") -> np.ndarray:
 
 
 def check_rank(rank: int, n1: int, n2: int) -> None:
-    """Reject a rank outside ``[1, min(n1, n2)]``, with the package's one message."""
-    if not 1 <= rank <= min(n1, n2):
+    """Reject a rank outside ``[1, min(n1, n2)]``: below 1 by its rule in
+    :data:`RULES`, above the smaller dimension with the package's one message."""
+    check_settings(rank=rank)
+    if rank > min(n1, n2):
         raise ValueError(f"rank must be in [1, {min(n1, n2)}], got {rank}")
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import COUNT, NONNEGATIVE, RandomStream, check_rank
+from .core import RandomStream, check_rank, check_settings
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,8 +35,7 @@ class DynamicGroundTruth:
             raise ValueError("U must be 2-D")
         if not self.V_seq:
             raise ValueError("V_seq must be nonempty")
-        if self.drift_std not in NONNEGATIVE:
-            raise ValueError("drift_std must be nonnegative")
+        check_settings(drift_std=self.drift_std)
         object.__setattr__(self, "X_seq", tuple(self.U @ v.T for v in self.V_seq))
 
     @property
@@ -85,13 +84,8 @@ def generate_truth(
     U, the initial factor, and every increment, so any prefix of the sequence
     is reproducible independently of ``d``.
     """
-    if min(n1, n2) not in COUNT:
-        raise ValueError("matrix dimensions must be positive")
+    check_settings(n1=n1, n2=n2, d=d, drift_std=drift_std)
     check_rank(rank, n1, n2)
-    if d not in COUNT:
-        raise ValueError(f"d must be {COUNT}")
-    if drift_std not in NONNEGATIVE:
-        raise ValueError("drift_std must be nonnegative")
 
     u = random_orthonormal(n1, rank, rng.child(0))
     v = rng.child(1).generator().standard_normal((n2, rank))

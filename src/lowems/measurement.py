@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import COUNT, NONNEGATIVE, RandomStream, check_matrix, check_rank, frobenius_norm
+from .core import RandomStream, check_matrix, check_rank, check_settings, frobenius_norm
 from .dynamics import DynamicGroundTruth
 from .weights import WeightVector
 
@@ -112,8 +112,7 @@ class GaussianOperator:
     variant = "gaussian"
 
     def __post_init__(self) -> None:
-        if min(self.n1, self.n2) < 1 or self.m < 1:
-            raise ValueError("operator dimensions and m must be positive")
+        check_settings(n1=self.n1, n2=self.n2, m=self.m)
         if self.matrices is None and self.source is None:
             raise ValueError("replay mode requires the defining stream")
         if self.matrices is not None:
@@ -178,8 +177,7 @@ class SamplingOperator:
     variant = "sampling"
 
     def __post_init__(self) -> None:
-        if min(self.n1, self.n2) < 1:
-            raise ValueError("operator dimensions must be positive")
+        check_settings(n1=self.n1, n2=self.n2)
         rows, cols = np.asarray(self.rows), np.asarray(self.cols)
         if rows.ndim != 1 or rows.shape != cols.shape or rows.size < 1:
             raise ValueError("rows/cols must be equal-length nonempty 1-D arrays")
@@ -236,8 +234,7 @@ def make_operator(
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if min(n1, n2, m) not in COUNT:
-        raise ValueError("dimensions and m must be positive")
+    check_settings(n1=n1, n2=n2, m=m)
     if variant == "gaussian":
         if store:
             stack = np.empty((m, n1, n2))
@@ -277,8 +274,7 @@ class ObservationSet:
             if not np.all(np.isfinite(y_t)):
                 raise ValueError(f"observations of time bin {t} are not all finite")
             y_t.setflags(write=False)
-        if not self.noise_std >= 0:
-            raise ValueError("noise_std must be nonnegative")
+        check_settings(noise_std=self.noise_std)
         if self.truth is not None:
             if (self.truth.n1, self.truth.n2) != (first.n1, first.n2):
                 raise ValueError("truth dimensions do not match operators")
@@ -314,8 +310,7 @@ def observe(
     ops = tuple(ops)
     if len(ops) != truth.d:
         raise ValueError(f"need {truth.d} operators, got {len(ops)}")
-    if noise_std not in NONNEGATIVE:
-        raise ValueError(f"noise_std must be {NONNEGATIVE}")
+    check_settings(noise_std=noise_std)
     sizes = {op.m for op in ops}
     if len(sizes) != 1:
         raise ValueError("observe requires a common per-bin measurement count")
@@ -366,8 +361,7 @@ def estimate_rip(
     ops = tuple(ops)
     if not ops:
         raise ValueError("the operator list is empty")
-    if trials not in COUNT:
-        raise ValueError(f"trials must be {COUNT}")
+    check_settings(trials=trials)
     n1, n2 = ops[0].n1, ops[0].n2
     check_rank(rank, n1, n2)
     worst = 0.0

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import COUNT, RandomStream, Range, write_csv
+from .core import RandomStream, check_settings, write_csv
 from .dynamics import DynamicGroundTruth, generate_truth
 from .experiments import _aggregate
 from .measurement import ObservationSet, SamplingOperator
@@ -33,7 +33,6 @@ HEADER = ("user_id", "item_id", "rating", "timestamp")
 _HEADER_LINES = tuple(",".join(HEADER).encode() + end for end in (b"", b"\r"))
 _NUMERIC_BYTES = b"0123456789+-.eE, \t\r\n"
 _RECORD = np.dtype([(name, float if name == "rating" else np.int64) for name in HEADER])
-TEST_FRACTIONS = Range(lambda f: 0 <= f < 1, "in [0, 1)")
 BIN_WIDTH = 10_000  # timestamp ticks per planted window of synthetic_ratings
 
 
@@ -157,8 +156,13 @@ def _columns_numpy(raw: bytes):
     integer column), it found one row per line (it skips blank lines, which
     csv refuses), and every rating is finite.
     """
-    head, _, body = raw.removeprefix(codecs.BOM_UTF8).partition(b"\n")
-    if head not in _HEADER_LINES or body.translate(None, _NUMERIC_BYTES):
+    lines = io.BytesIO(raw)  # shares raw's buffer: a refusal below copies no body
+    head = lines.readline().removeprefix(codecs.BOM_UTF8).removesuffix(b"\n")
+    start = lines.tell()
+    if head not in _HEADER_LINES or lines.readline().translate(None, _NUMERIC_BYTES):
+        return None
+    body = raw[start:]
+    if body.translate(None, _NUMERIC_BYTES):
         return None
     buf = np.frombuffer(body, dtype=np.uint8)
     lines = np.diff(np.flatnonzero(buf == ord("\n")), prepend=-1, append=buf.size)
@@ -209,8 +213,7 @@ def truncate(
     versa, hence the fixed-point loop.  Raises :class:`EmptyResultError`
     when nothing survives.
     """
-    if min(min_user_ratings, min_item_ratings) not in COUNT:
-        raise ValueError(f"thresholds must be {COUNT}")
+    check_settings(min_user_ratings=min_user_ratings, min_item_ratings=min_item_ratings)
     cols, rows = table.user_cols, table.item_rows
     keep = np.ones(table.n, dtype=bool)
     while keep.any():
@@ -248,17 +251,15 @@ class BinnedRatings:
 
 
 def bin_by_time(table: RatingsTable, d: int) -> BinnedRatings:
-    """Assign each rating to one of ``d`` equal-width time bins."""
-    if d not in COUNT:
-        raise ValueError(f"d must be {COUNT}")
+    """Assign each rating to one of ``d`` equal-width time bins, by its
+    timestamp's offset from the earliest one."""
+    check_settings(d=d)
     ts = table.timestamps
     lo, hi = int(ts.min()), int(ts.max())
-    edges = np.linspace(lo, hi, d + 1)
-    if lo == hi:
-        bin_of = np.full(table.n, d - 1, dtype=np.int64)
-    else:
-        bin_of = np.clip(np.searchsorted(edges, ts, side="right") - 1, 0, d - 1)
-    return BinnedRatings(table, edges, bin_of.astype(np.int64))
+    # exact int64 offsets (float64 rounds ns stamps to 256); lo == hi: the last bin
+    offsets = np.linspace(0, hi - lo, d + 1)
+    bin_of = np.clip(np.searchsorted(offsets, ts - lo, side="right") - 1, 0, d - 1)
+    return BinnedRatings(table, np.linspace(lo, hi, d + 1), bin_of.astype(np.int64))
 
 
 def chronological_split(
@@ -267,8 +268,7 @@ def chronological_split(
     """The ``(train_rows, test_rows)`` split: the test rows are the latest
     ``round(test_frac * n)`` ratings (equal timestamps ordered by table row),
     the training rows all the others.  Both are ascending."""
-    if test_frac not in TEST_FRACTIONS:
-        raise ValueError(f"test_frac must be {TEST_FRACTIONS}")
+    check_settings(test_frac=test_frac)
     n = table.n
     n_test = int(round(test_frac * n))
     order = np.lexsort((np.arange(n), table.timestamps))
@@ -286,8 +286,7 @@ def make_split(
     last bin's non-test ratings, and a fold trains on every other non-test
     row, so every earlier bin is in all training sets (earlier bins exist to
     inform the temporal weighting, not to be predicted)."""
-    if folds not in COUNT:
-        raise ValueError(f"folds must be {COUNT}")
+    check_settings(folds=folds)
     rest, _ = chronological_split(binned.table, test_frac)
     pool = rest[binned.bin_of[rest] == binned.d - 1]
     if pool.size < folds:
@@ -410,6 +409,7 @@ def cross_validate_kappa(
     kappa_grid = list(kappa_grid)
     if not kappa_grid:
         raise ValueError("kappa_grid must be nonempty")
+    check_settings(kappa_grid=kappa_grid)
     weights = [optimal_weights(binned.d, kappa) for kappa in kappa_grid]
     path = sorted(range(len(kappa_grid)), key=kappa_grid.__getitem__)
     scores: list[list[float]] = [[] for _ in kappa_grid]
@@ -459,8 +459,9 @@ def cross_validate_kappa(
 
 @dataclass(frozen=True, eq=False)
 class TestEvaluation:
-    """Held-out RMSE per restart, plus how many test records were scored
-    and how many were excluded for referencing unseen users/items."""
+    """Held-out RMSE per restart (``nan`` for a restart that diverged), plus
+    how many test records were scored and how many were excluded for
+    referencing unseen users/items."""
 
     rmse: np.ndarray
     n_used: int
@@ -481,9 +482,9 @@ def evaluate_test(
     """Refit on the training rows of the :func:`chronological_split` pair
     ``split`` with ``restarts`` random initializations, and score each fit
     on its test rows.  The training set is built once; a split with no test
-    rating to score is refused before any fit."""
-    if restarts not in COUNT:
-        raise ValueError(f"restarts must be {COUNT}")
+    rating to score is refused before any fit.  A diverged restart scores
+    ``nan`` with a warning; ``RuntimeError`` if every restart diverges."""
+    check_settings(restarts=restarts)
     _, test = split
     if test.size == 0:
         raise EmptyResultError("the test split holds no ratings")
@@ -491,9 +492,15 @@ def evaluate_test(
     if scored.size == 0:
         raise EmptyResultError("no test rating's user and item both appear in training")
     weights = optimal_weights(binned.d, kappa)
-    rmse = [_fit_rmse(binned, obs, scored, weights, cfg, rng.child(i))[0]
-            for i in range(restarts)]
-    return TestEvaluation(np.asarray(rmse), scored.size, test.size - scored.size)
+    rmse = np.full(restarts, math.nan)
+    for i in range(restarts):
+        try:
+            rmse[i] = _fit_rmse(binned, obs, scored, weights, cfg, rng.child(i))[0]
+        except DivergenceError:
+            warnings.warn(f"restart {i} diverged; skipping", RuntimeWarning, stacklevel=2)
+    if not np.isfinite(rmse).any():
+        raise RuntimeError("evaluation failed for every restart")
+    return TestEvaluation(rmse, scored.size, test.size - scored.size)
 
 
 def synthetic_ratings(
@@ -514,8 +521,7 @@ def synthetic_ratings(
     :func:`bin_by_time` with the same ``d`` reproduces the planted windows
     exactly.  Returns the table and the planted truth.
     """
-    if not 0 < fill <= 1:
-        raise ValueError("fill must be in (0, 1]")
+    check_settings(fill=fill)
     truth = generate_truth(n_items, n_users, rank, d, drift_std, rng.child(0))
     per_bin = max(1, round(fill * n_items * n_users))
     users, items, values, stamps = [], [], [], []

@@ -48,9 +48,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import (
-    COUNT, NONNEGATIVE, POSITIVE, RandomStream, check_rank, frobenius_norm, top_r_svd,
-)
+from .core import RandomStream, check_rank, check_settings, frobenius_norm, top_r_svd
 from .measurement import ObservationSet, _live_bins
 from .weights import WeightVector
 
@@ -110,10 +108,7 @@ class LowemsProblem:
                 f"weight length {len(self.weights)} != bin count {self.obs.d}"
             )
         check_rank(self.rank, self.obs.n1, self.obs.n2)
-        if self.gamma not in NONNEGATIVE:
-            raise ValueError(f"gamma must be {NONNEGATIVE}")
-        if self.max_entry is not None and self.max_entry not in POSITIVE:
-            raise ValueError(f"max_entry must be {POSITIVE} when given")
+        check_settings(gamma=self.gamma, max_entry=self.max_entry)
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,10 +388,7 @@ def solve(
     and ``iterations`` and ``converged`` keep their meaning; the returned
     factors are the last ALS iterate.  ``gamma = 0`` solves never take it.
     """
-    if max_sweeps not in COUNT:
-        raise ValueError(f"max_sweeps must be {COUNT}")
-    if tol not in NONNEGATIVE:
-        raise ValueError(f"tol must be {NONNEGATIVE}")
+    check_settings(max_sweeps=max_sweeps, tol=tol)
     if isinstance(init, FactorPair):
         pair = FactorPair(
             _fixed_factor(problem, init.U, "V"), _fixed_factor(problem, init.V, "U")

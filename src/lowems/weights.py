@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NONNEGATIVE
+from .core import check_settings
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,11 +49,10 @@ def lag_profile(d: int) -> np.ndarray:
 
 
 def _check_d_kappa(d: int, kappa: float) -> float:
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError("d must be a positive integer")
+    if not isinstance(d, (int, np.integer)):
+        raise ValueError(f"d must be an integer, got {d!r}")
     kappa = float(kappa)
-    if kappa not in NONNEGATIVE:
-        raise ValueError("kappa must be nonnegative (or +inf)")
+    check_settings(d=d, kappa=kappa)
     return kappa
 
 
@@ -86,8 +85,7 @@ def kappa_for(noise_std: float, drift_std: float) -> float:
     """Noise ratio ``drift_std**2 / noise_std**2`` with the degenerate cases
     pinned: no drift means 0 (equal weights are optimal); drift with
     noiseless measurements means +inf (only the last bin is unbiased)."""
-    if not (noise_std in NONNEGATIVE and drift_std in NONNEGATIVE):
-        raise ValueError("standard deviations must be nonnegative")
+    check_settings(noise_std=noise_std, drift_std=drift_std)
     if drift_std == 0:
         return 0.0
     if noise_std == 0:

@@ -18,8 +18,8 @@ import pytest
 
 from lowems import experiments, ratings
 from lowems.bundles import load_bundle
-from lowems.cli import _RANGES, _float_list, build_parser, main
-from lowems.core import RandomStream
+from lowems.cli import _float_list, build_parser, main
+from lowems.core import RULES, RandomStream
 from lowems.experiments import (
     SweepConfig,
     relative_error,
@@ -28,7 +28,7 @@ from lowems.experiments import (
 )
 from lowems.measurement import estimate_rip, make_operator
 from lowems.ratings import synthetic_ratings, table_to_csv
-from lowems.solver import LowemsProblem, solve
+from lowems.solver import DivergenceError, LowemsProblem, solve
 from lowems.weights import baseline_weights
 from make_manifest import recorded_solves
 
@@ -618,6 +618,41 @@ class TestRatingsPipeline:
         assert np.isfinite(float(lines[1].split(",")[1]))
         assert folds == []  # eval draws no CV fold
 
+    @pytest.mark.parametrize("diverging", [{1}, {0, 1, 2}], ids=["one", "every"])
+    def test_eval_skips_a_diverged_restart(self, capsys, monkeypatch, ratings_csv, tmp_path,
+                                           diverging):
+        # restarts draw from the root stream's child 2; the scripted ones diverge
+        streams = [RandomStream(6).child(2).child(i) for i in diverging]
+
+        def scripted(problem, **kwargs):
+            if kwargs["rng"] in streams:
+                raise DivergenceError("objective became non-finite", None, [])
+            return solve(problem, **kwargs)
+
+        monkeypatch.setattr(ratings, "solve", scripted)
+        out = tmp_path / "eval.csv"
+        with pytest.warns(RuntimeWarning) as record:
+            code, stdout, err = _run(
+                capsys,
+                ["ratings", "eval", "--in", str(ratings_csv), "--d", "2",
+                 "--rank", "2", "--kappa", "1.0", "--restarts", "3",
+                 "--out", str(out), "--seed", "6"],
+            )
+        assert [str(w.message) for w in record] == [
+            f"restart {i} diverged; skipping" for i in sorted(diverging)
+        ]
+        if len(diverging) == 3:
+            assert code == 2
+            assert "lowems: failed: evaluation failed for every restart" in err
+            assert not out.exists()
+            return
+        assert code == 0
+        rmse = [float(row[1]) for row in _csv_rows(out)[1:]]
+        assert np.isnan(rmse[1]) and np.isfinite([rmse[0], rmse[2]]).all()
+        kept = [rmse[0], rmse[2]]
+        assert (f"test_rmse mean {_g(np.mean(kept))} min {_g(min(kept))} "
+                "(used=") in stdout
+
     def test_eval_names_the_bin_without_training_ratings(self, capsys, monkeypatch, tmp_path):
         # 30 ratings at 0..29 in two bins: the latest half is all of bin 1
         path = tmp_path / "r.csv"
@@ -711,18 +746,23 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert "0.1.0" in proc.stdout
 
-    def test_numpy_is_the_only_runtime_dependency(self):
+    def test_numpy_is_the_only_runtime_dependency(self, tmp_path):
         # the test extras (scipy, pytest) are installed here, so only a fresh
-        # interpreter shows what the package itself imports
+        # interpreter shows what the package itself imports; a sweep too small
+        # for worker processes (10 x 8) runs inline and never loads multiprocessing
         script = (
             "import sys, lowems, lowems.cli\n"
             "code = lowems.cli.main(['rip-probe', '--n1', '4', '--n2', '4', '--m0', '20',"
             " '--rank', '1', '--trials', '2', '--seed', '1'])\n"
-            "print(code, sorted({'scipy', 'pytest'} & set(sys.modules)))\n"
+            "sweep = lowems.cli.main(['sweep-error', '--n1', '10', '--n2', '8', '--rank', '1',"
+            " '--d', '2', '--m0', '40', '--drift-grid', '0.1', '--trials', '2',"
+            " '--threads', '2', '--out', sys.argv[1], '--seed', '1'])\n"
+            "print(code, sweep, sorted({'scipy', 'pytest', 'multiprocessing'} & set(sys.modules)))\n"
         )
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "errors.csv")],
+                              capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 []"
+        assert proc.stdout.splitlines()[-1] == "0 0 []"
 
 
 _REQUIRED_ONLY = {
@@ -1009,7 +1049,8 @@ class TestNonFiniteOptions:
         assert list(tmp_path.iterdir()) == []
 
     def test_every_numeric_option_has_a_range(self):
-        # a numeric option missing from _RANGES would be checked by nothing
+        # a numeric option missing from RULES would be checked by nothing; that
+        # every rule is enforced by the library is tests/test_core.py's test
         def parsers(parser):
             yield parser
             for action in parser._actions:
@@ -1019,7 +1060,7 @@ class TestNonFiniteOptions:
 
         numeric = {action.dest for parser in parsers(build_parser())
                    for action in parser._actions if action.type in (int, float, _float_list)}
-        assert numeric == set(_RANGES)
+        assert numeric <= set(RULES)
 
     def test_infinite_kappa_logs_as_string(self, capsys, bundle_path, tmp_path):
         code, _, err = _run(

@@ -1,16 +1,34 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
 
 from lowems.core import (
+    RULES,
     RandomStream,
     check_matrix,
+    check_settings,
     frobenius_norm,
     top_r_svd,
     write_csv,
 )
+from lowems.dynamics import generate_truth
+from lowems.experiments import SweepConfig, bound_shape
+from lowems.measurement import estimate_rip, make_operator, observe
+from lowems.ratings import (
+    FitConfig,
+    bin_by_time,
+    chronological_split,
+    cross_validate_kappa,
+    evaluate_test,
+    make_split,
+    synthetic_ratings,
+    truncate,
+)
+from lowems.solver import LowemsProblem, solve
+from lowems.weights import optimal_weights
 
 
 class TestRandomStream:
@@ -228,3 +246,81 @@ def test_check_matrix_returns_a_float_array_without_copying_one():
     assert check_matrix(a) is a
     got = check_matrix([[1, 2]])
     assert got.dtype == np.float64 and got.tolist() == [[1.0, 2.0]]
+
+
+def _library_checks():
+    """For every setting in RULES, a library entry point that takes it,
+    called with all its other arguments valid."""
+    rng = RandomStream(1)
+    truth = generate_truth(4, 4, 1, 1, 0.0, rng)
+    ops = [make_operator("sampling", 4, 4, 10, rng.child(1))]
+    obs = observe(ops, truth, 0.1, rng.child(2))
+    w = optimal_weights(1, 0.0)
+    problem = LowemsProblem(obs, w, 1)
+    table, _ = synthetic_ratings(6, 5, 1, 2, 0.8, 0.1, 0.1, rng)
+    binned = bin_by_time(table, 2)
+    split = chronological_split(table)
+    folds = make_split(binned, rng, folds=2)
+    sweep = dict(n1=4, n2=4, rank=1, d=1, noise_std=0.1, drift_grid=(0.0,), seed=1)
+
+    def config(name):
+        return lambda v: SweepConfig(**{**sweep, name: v})
+
+    return {
+        "seed": config("seed"),
+        "max_entry": lambda v: LowemsProblem(obs, w, 1, max_entry=v),
+        "p_grid": lambda v: SweepConfig(**sweep, p_grid=(v, 1.0)),
+        "fill": lambda v: synthetic_ratings(6, 5, 1, 2, v, 0.1, 0.1, rng),
+        "test_frac": lambda v: chronological_split(table, v),
+        "n1": lambda v: generate_truth(v, 4, 1, 1, 0.0, rng),
+        "n2": lambda v: make_operator("gaussian", 4, v, 10, rng, store=False),
+        "rank": lambda v: generate_truth(4, 4, v, 1, 0.0, rng),
+        "d": lambda v: bin_by_time(table, v),
+        "m": lambda v: make_operator("sampling", 4, 4, v, rng),
+        "m0": config("m0"),
+        "m_total": lambda v: bound_shape(w, 0.1, 0.1, 4, 1, v),
+        "trials": lambda v: estimate_rip(ops, w, 1, v, rng),
+        "max_sweeps": lambda v: solve(problem, max_sweeps=v),
+        "threads": config("threads"),
+        "folds": lambda v: make_split(binned, rng, folds=v),
+        "restarts": lambda v: evaluate_test(binned, split, 1.0, FitConfig(1), rng, v),
+        "min_user_ratings": lambda v: truncate(table, v, 1),
+        "min_item_ratings": lambda v: truncate(table, 1, v),
+        "noise_std": lambda v: observe(ops, truth, v, rng),
+        "drift_std": lambda v: generate_truth(4, 4, 1, 2, v, rng),
+        "drift_grid": lambda v: SweepConfig(**{**sweep, "drift_grid": (0.0, v)}),
+        "gamma": lambda v: LowemsProblem(obs, w, 1, gamma=v),
+        "tol": lambda v: solve(problem, tol=v),
+        "kappa": lambda v: optimal_weights(3, v),
+        "kappa_grid": lambda v: cross_validate_kappa(binned, folds, [1.0, v], FitConfig(1), rng),
+        "success_threshold": config("success_threshold"),
+    }
+
+
+# the values just outside each rule, by its text
+_OUTSIDE = {
+    "at least 1": [0],
+    "nonnegative": [-5e-324],
+    "positive": [0.0],
+    "in (0, 1]": [0.0, 1.0000000000000002],
+    "in [0, 1)": [-5e-324, 1.0],
+    "in [0, 2**64)": [-1, 2**64],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RULES))
+def test_every_rule_is_enforced_by_the_library(name):
+    # a rule that no library entry point reads would only hold on the command line
+    rule, check = RULES[name], _library_checks()[name]
+    for value in [*_OUTSIDE[str(rule)], math.nan]:
+        message = f"{name} must be {rule}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check(value)
+
+
+def test_check_settings_reads_each_entry_and_skips_none():
+    check_settings(m0=None, drift_grid=(0.0, 1.5), p_grid=[0.1, 1.0])
+    with pytest.raises(ValueError, match=r"^p_grid must be in \(0, 1\], got 2.0$"):
+        check_settings(p_grid=[0.1, 2.0])
+    with pytest.raises(KeyError):
+        check_settings(unknown=1)

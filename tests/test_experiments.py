@@ -168,7 +168,7 @@ class TestErrorSweep:
             ({"variant": "foo"}, "variant must be one of"),
             ({"init": "newton"}, "unknown init mode 'newton'"),
             ({"gamma": -1.0}, "gamma must be nonnegative"),
-            ({"max_sweeps": 0}, "max_sweeps must be positive"),
+            ({"max_sweeps": 0}, "max_sweeps must be at least 1"),
             ({"strategies": ("optimal", "optimal")}, "strategies must not repeat"),
         ]:
             with pytest.raises(ValueError, match=message):

@@ -423,6 +423,26 @@ class TestIngestPaths:
         assert [c.size for c in columns] == [rows] * 4
         assert peak <= len(raw) + 16 * rows, (peak / rows, len(raw) / rows)
 
+    @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8])
+    def test_numpy_path_refuses_a_quoted_file_before_copying_it(self, tmp_path, bom):
+        # the quoted first record is refused from a slice of the file's bytes;
+        # a copy of the body (as large as the file) is never made
+        path = tmp_path / "quoted.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
+            writer.writerow(HEADER)
+            writer.writerows((u, u % 97, 3.5, 10**9 + u) for u in range(20_000))
+        raw = bom + path.read_bytes()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            columns = ratings._columns_numpy(raw)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert columns is None
+        assert peak <= len(raw) // 100, (peak, len(raw))
+
 
 class TestTruncate:
     def test_cascading_removal(self, tmp_path):
@@ -538,6 +558,14 @@ class TestBinByTime:
         assert _bin_sizes(binned) == [0, 0, 2]
         with pytest.raises(ValueError):
             bin_by_time(table, 0)
+
+    def test_large_int64_timestamps_bin_by_their_exact_offsets(self):
+        # nanosecond stamps near 1.7e18 are 256 apart in float64; binned at the
+        # stamps themselves, these 1,001 ratings fell 129, 255, 257, 360
+        n = 1001
+        stamps = 1_700_000_000_000_000_000 + np.arange(n, dtype=np.int64)
+        table = ratings._build_table(np.arange(n), np.arange(n), np.ones(n), stamps)
+        assert _bin_sizes(bin_by_time(table, 4)) == [250, 250, 250, 251]
 
 
 class TestChronologicalSplit:
@@ -939,6 +967,39 @@ class TestEvaluateTest:
         np.testing.assert_array_equal(ev.rmse, again.rmse)
         with pytest.raises(ValueError):
             evaluate_test(binned, split, 1.0, cfg, RandomStream(96), restarts=0)
+
+    def test_diverged_restarts_score_nan_and_the_others_keep_theirs(self, monkeypatch):
+        table, _ = synthetic_ratings(
+            15, 18, 2, 2, fill=0.5, noise_std=0.1, drift_std=0.1,
+            rng=RandomStream(94),
+        )
+        binned = bin_by_time(table, 2)
+        split = chronological_split(table)
+        cfg = FitConfig(rank=2, gamma=0.5, max_sweeps=40, tol=1e-6)
+        rng = RandomStream(96)
+        plain = evaluate_test(binned, split, 1.0, cfg, rng, restarts=3)
+        diverging = set()
+
+        def scripted(problem, **kwargs):
+            if kwargs["rng"] in diverging:
+                raise DivergenceError("objective became non-finite", None, [])
+            return solver.solve(problem, **kwargs)
+
+        monkeypatch.setattr(ratings, "solve", scripted)
+        diverging.add(rng.child(1))
+        with pytest.warns(RuntimeWarning) as record:
+            ev = evaluate_test(binned, split, 1.0, cfg, rng, restarts=3)
+        assert [str(w.message) for w in record] == ["restart 1 diverged; skipping"]
+        assert np.isnan(ev.rmse[1])
+        np.testing.assert_array_equal(ev.rmse[[0, 2]], plain.rmse[[0, 2]])
+        assert (ev.n_used, ev.n_excluded) == (plain.n_used, plain.n_excluded)
+        diverging.update(rng.child(i) for i in range(3))
+        with pytest.warns(RuntimeWarning) as record:
+            with pytest.raises(RuntimeError, match="^evaluation failed for every restart$"):
+                evaluate_test(binned, split, 1.0, cfg, rng, restarts=3)
+        assert [str(w.message) for w in record] == [
+            f"restart {i} diverged; skipping" for i in range(3)
+        ]
 
     def test_unseen_user_is_excluded(self, tmp_path):
         records = [(k % 3, k % 10, float(k % 5), k) for k in range(30)]

@@ -610,16 +610,16 @@ _SWEEP = dict(n1=6, n2=5, rank=1, d=1, noise_std=0.1, drift_grid=(0.0,), seed=1,
         (lambda p, t: ObservationSet(p.obs.ops, p.obs.y, _NAN), "noise_std"),
         (lambda p, t: observe(p.obs.ops, t, _NAN, RandomStream(1)), "noise_std"),
         (lambda p, t: run_error_sweep(SweepConfig(**{**_SWEEP, "noise_std": _NAN})),
-         "noise levels"),
+         "noise_std"),
         (lambda p, t: run_error_sweep(SweepConfig(**{**_SWEEP, "drift_grid": (_NAN,)})),
-         "noise levels"),
+         "drift_grid"),
         (lambda p, t: run_error_sweep(SweepConfig(**{**_SWEEP, "success_threshold": _NAN})),
          "success_threshold"),
         (lambda p, t: run_error_sweep(SweepConfig(**{**_SWEEP, "success_threshold": -1.0})),
          "success_threshold"),
         (lambda p, t: SweepConfig(**{**_SWEEP, "tol": _NAN}), "tol"),
         (lambda p, t: SweepConfig(**{**_SWEEP, "gamma": _NAN}), "gamma"),
-        (lambda p, t: kappa_for(_NAN, 0.1), "standard deviations"),
+        (lambda p, t: kappa_for(_NAN, 0.1), "noise_std"),
     ],
     ids=["problem-gamma", "solve-tol", "generate_truth", "truth-drift_std",
          "observation_set", "observe", "sweep-noise_std", "sweep-drift_grid",
