@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import traceback
 import warnings
 from dataclasses import dataclass, field, fields
-from functools import partial
 
 import numpy as np
 
@@ -55,10 +56,11 @@ class SweepConfig:
     the sample sweep (per-bin budget ``round(p * n1 * n2)`` per grid point,
     defaulting to 20 log-spaced densities in [0.02, 1]).  ``drift_grid``
     lists the drift levels; ``strategies`` the weightings to compare.
-    ``threads`` is the most worker processes the cells run on, never more
-    than the usable CPUs; results are the same at any value.  Invalid
-    settings are refused when the config is built, except the error sweep's
-    need for ``m0``.
+    ``threads`` is the most forked worker processes the cells run on, never
+    more than the usable CPUs; each worker pulls cells until none is left
+    and answers once, and results, warnings and errors are the same at any
+    value.  Invalid settings are refused when the config is built, except
+    the error sweep's need for ``m0``.
     """
 
     n1: int
@@ -224,17 +226,24 @@ def _aggregate(values: list[float | None]) -> tuple[float, float, int]:
 
 
 def _recorded(fn, cfg: SweepConfig, item):
-    """``fn(cfg, item)`` in a worker process, with the warnings it issued as
-    ``(text, category, filename, lineno)``."""
+    """``fn(cfg, item)`` in a worker process, or the exception it raised, with
+    the warnings it issued as ``(text, category, filename, lineno)`` and the
+    exception's formatted traceback (None if it raised none)."""
+    text = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = fn(cfg, item)
-    return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+        try:
+            result = fn(cfg, item)
+        except Exception as exc:
+            result, text = exc, traceback.format_exc()
+    return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught], text
 
 
-# Starting the workers costs about 20 ms.  Of the sweeps measured on a 2-vCPU
-# machine, none that generates fewer planted entries than this in all
-# (datasets x bins x n1 x n2) finished sooner on two workers than inline.
+# Forking two workers and collecting their answers costs 4-10 ms, and each
+# worker then loads numpy.random on its own, about 8 ms of CPU.  Of the
+# sweeps measured on a 2-vCPU machine, none that generates fewer planted
+# entries than this in all (datasets x bins x n1 x n2) finished sooner on two
+# workers than inline.
 _POOL_MIN_ENTRIES = 200_000
 
 
@@ -244,34 +253,97 @@ def _map_items(fn, cfg: SweepConfig, items: list, datasets: int = 1) -> list:
 
     ``datasets`` is the most datasets one item generates.  With one worker,
     with fewer than ``_POOL_MIN_ENTRIES`` planted entries in all, or where
-    ``fork`` is unavailable, the items run inline.  Each worker records its
-    item's warnings, and they are issued again here in item order, with the
-    same category, text, file and line, as from this module, where the
-    sweeps' own warnings point: the caller's filters decide as they would
-    inline, and a location shown once is not shown again.  An item's
-    exception is raised here, a worker that dies raises
-    ``BrokenProcessPool``, and every worker is joined before this returns or
-    raises.
+    ``fork`` is unavailable, the items run inline; otherwise
+    :func:`_fork_map` runs them, to the same results, warnings and
+    exception.
     """
     workers = min(cfg.threads, len(items), _workers())
     entries = len(items) * datasets * cfg.d * cfg.n1 * cfg.n2
     if workers < 2 or entries < _POOL_MIN_ENTRIES or not hasattr(os, "fork"):
         return [fn(cfg, item) for item in items]
-    import multiprocessing  # here, so that a run without a pool never loads it
-    from concurrent.futures import ProcessPoolExecutor
+    return _fork_map(fn, cfg, items, workers)
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    results, registry = [], globals().setdefault("__warningregistry__", {})
+
+def _fork_map(fn, cfg: SweepConfig, items: list, workers: int) -> list:
+    """``[fn(cfg, item) for item in items]`` on ``workers`` forked children.
+
+    Before it forks, the caller writes every item index into one task pipe
+    as a 4-byte record.  Each child (:func:`_work`) reads records until the
+    pipe is empty, so one that finishes a short item pulls the next, and
+    answers once, on its own pipe.  The caller reads every answer and reaps
+    every child, then issues each item's warnings again, in item order and
+    as from this module, where the sweeps' own warnings point: the caller's
+    filters decide as they would inline, and a location shown once is not
+    shown again.  The first item exception in item order is raised, with
+    the worker's traceback as its cause, after the warnings of the items up
+    to it.  A child that ends without its
+    answer raises ``BrokenProcessPool``; an exception in the caller, an
+    interrupt say, kills every child before it propagates.
+    """
+    tasks, feed = os.pipe()
+    # a write of at most PIPE_BUF bytes fits an empty pipe, so nothing waits
+    # for a reader; past PIPE_BUF / 4 items one record starts a run of items
+    step = -(-4 * len(items) // os.fpathconf(feed, "PC_PIPE_BUF"))
+    os.write(feed, b"".join(i.to_bytes(4, "little") for i in range(0, len(items), step)))
+    os.close(feed)  # so a child's read finds the pipe empty after the last record
+    replies, pids = [], []
     try:
-        for result, caught in pool.map(partial(_recorded, fn, cfg), items):
-            for text, category, filename, lineno in caught:
-                warnings.warn_explicit(
-                    text, category, filename, lineno, module=__name__, registry=registry
-                )
-            results.append(result)
+        for _ in range(workers):
+            reply, answer = os.pipe()
+            replies.append(open(reply, "rb"))
+            with open(answer, "wb") as out:  # closed here, so a reply ends when its child does
+                pid = os.fork()
+                if pid == 0:
+                    _work(fn, cfg, items, step, tasks, out)
+            pids.append(pid)
+        messages = [reply.read() for reply in replies]
+    except BaseException:
+        from signal import SIGKILL
+
+        for pid in pids:
+            os.kill(pid, SIGKILL)
+        raise
     finally:
-        pool.shutdown(cancel_futures=True)
+        os.close(tasks)
+        for reply in replies:
+            reply.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if any(codes):
+        from concurrent.futures.process import BrokenProcessPool
+
+        raise BrokenProcessPool(f"a sweep worker ended with status {next(filter(None, codes))}")
+    outcomes = sorted((o for m in messages for o in pickle.loads(m)), key=lambda o: o[0])
+    results, registry = [], globals().setdefault("__warningregistry__", {})
+    for _, result, caught, failure in outcomes:
+        for text, category, filename, lineno in caught:
+            warnings.warn_explicit(
+                text, category, filename, lineno, module=__name__, registry=registry
+            )
+        if failure is not None:  # pickling dropped the worker's frames
+            raise result from RuntimeError(f"in a sweep worker:\n{failure}")
+        results.append(result)
     return results
+
+
+def _work(fn, cfg: SweepConfig, items: list, step: int, tasks: int, out):
+    """A forked child's whole life: the :func:`_recorded` outcome of the
+    ``step`` items each record read from ``tasks`` starts, then all of them
+    as ``(index, result or exception, warnings, traceback)`` in one pickled
+    message on ``out``.  It exits with status 0 only once it is written."""
+    status = 1
+    try:
+        done = []
+        while record := os.read(tasks, 4):
+            start = int.from_bytes(record, "little")
+            done += [
+                (i, *_recorded(fn, cfg, item))
+                for i, item in enumerate(items[start : start + step], start)
+            ]
+        pickle.dump(done, out, pickle.HIGHEST_PROTOCOL)
+        out.flush()
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _error_cell(cfg: SweepConfig, cell: tuple[int, int]):

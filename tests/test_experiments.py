@@ -1,10 +1,11 @@
-import concurrent.futures
 import csv
 import dataclasses
 import math
-import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import time
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 from types import SimpleNamespace
@@ -48,6 +49,12 @@ def pooled(monkeypatch):
     monkeypatch.setattr(experiments, "_POOL_MIN_ENTRIES", 0)
 
 
+def _assert_no_child():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _assert_same_sweeps(results):
     """Equal rows and bitwise-equal traces, in order; no worker left."""
     first, *others = results
@@ -55,7 +62,7 @@ def _assert_same_sweeps(results):
     for res in others:
         assert res.rows == first.rows
         assert [t.tobytes() for t in res.traces] == [t.tobytes() for t in first.traces]
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 class TestRelativeError:
@@ -358,9 +365,10 @@ class TestWorkerPool:
             raise ValueError("scripted cell failure")
 
         monkeypatch.setattr(experiments, "solve", fail)
-        with pytest.raises(ValueError, match="scripted cell failure"):
+        with pytest.raises(ValueError, match="scripted cell failure") as raised:
             run_error_sweep(_tiny_error_cfg(trials=2, threads=2))
-        assert multiprocessing.active_children() == []
+        assert "in fail" in str(raised.value.__cause__)  # the worker's frames
+        _assert_no_child()
 
     def test_a_dead_worker_raises(self, monkeypatch):
         parent = os.getpid()
@@ -382,23 +390,17 @@ class TestWorkerPool:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
-        assert multiprocessing.active_children() == []
+        _assert_no_child()
 
     @pytest.mark.filterwarnings("ignore::lowems.solver.RankDeficiencyWarning")
     def test_workers_are_capped_by_items_cpus_and_size(self, monkeypatch):
         requested = []
 
-        class Recording:  # maps inline: starts no process
-            def __init__(self, max_workers, mp_context=None):
-                requested.append(max_workers)
+        def recording(fn, cfg, items, workers):  # maps inline: starts no process
+            requested.append(workers)
+            return [fn(cfg, item) for item in items]
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-            def shutdown(self, wait=True, *, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(experiments, "_fork_map", recording)
         two_cells = _tiny_error_cfg(trials=1, threads=10**6)
         monkeypatch.setattr(experiments, "_workers", lambda: 64)
         run_error_sweep(two_cells)
@@ -415,6 +417,104 @@ class TestWorkerPool:
             monkeypatch.setattr(experiments, "_POOL_MIN_ENTRIES", least)
             run_sample_sweep(two_lanes)
         assert requested == [2, 2]
+
+    def test_uneven_items_each_run_once_and_come_back_in_order(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "_workers", lambda: 3)
+        log = tmp_path / "runs"
+
+        def item(cfg, i):
+            if i == 0:
+                time.sleep(0.5)  # the other workers pull the six short items meanwhile
+            with open(log, "a") as fh:  # one short append per run, from any worker
+                fh.write(f"{i}\n")
+            return i, os.getpid()
+
+        out = experiments._map_items(item, _tiny_error_cfg(threads=3), list(range(7)))
+        assert [i for i, _ in out] == list(range(7))
+        assert sorted(int(line) for line in log.read_text().split()) == list(range(7))
+        pids = [pid for _, pid in out]
+        assert os.getpid() not in pids and pids.count(pids[0]) == 1
+        _assert_no_child()
+
+    def test_more_items_than_a_pipe_holds_come_back_in_order(self):
+        # 20,000 4-byte records would fill a 64 kB pipe before any worker
+        # reads, so each record starts a run of items
+        def hung(signum, frame):
+            pytest.fail("the caller blocked writing the task records")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            out = experiments._map_items(
+                lambda cfg, i: i * i, _tiny_error_cfg(threads=2), list(range(20_000))
+            )
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert out == [i * i for i in range(20_000)]
+        _assert_no_child()
+
+    def test_an_item_error_follows_the_earlier_items_warnings(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_workers", lambda: 3)
+
+        def item(cfg, i):
+            warnings.warn(f"item {i}", RuntimeWarning)
+            if i == 4:
+                raise KeyError("scripted item failure")
+            return i
+
+        issued = []
+        for threads in (1, 3):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(KeyError, match="scripted item failure"):
+                    experiments._map_items(item, _tiny_error_cfg(threads=threads), list(range(7)))
+            issued.append([str(w.message) for w in caught])
+        assert issued[0] == [f"item {i}" for i in range(5)] and issued[1] == issued[0]
+        _assert_no_child()
+
+    def test_a_caller_exception_while_reading_leaves_no_worker(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_workers", lambda: 3)
+
+        class Interrupted(Exception):
+            pass
+
+        def interrupt(signum, frame):
+            raise Interrupted
+
+        def item(cfg, i):
+            time.sleep(60)  # the workers are still running when the caller stops
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        signal.setitimer(signal.ITIMER_REAL, 0.3)
+        try:
+            started = time.monotonic()
+            with pytest.raises(Interrupted):
+                experiments._map_items(item, _tiny_error_cfg(threads=3), list(range(3)))
+            assert time.monotonic() - started < 30
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        _assert_no_child()
+
+    def test_a_pooled_sweep_never_loads_multiprocessing(self):
+        # only a fresh interpreter shows what a pooled sweep imports
+        script = (
+            "import os, sys\n"
+            "from lowems import experiments\n"
+            "experiments._workers, experiments._POOL_MIN_ENTRIES = (lambda: 2), 0\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "cfg = experiments.SweepConfig(n1=10, n2=8, rank=1, d=2, noise_std=0.05,"
+            " drift_grid=(0.1,), seed=1, m0=40, trials=2, threads=2)\n"
+            "experiments.run_error_sweep(cfg)\n"
+            "print(len(forks), sorted({'multiprocessing', 'concurrent.futures.process'}"
+            " & set(sys.modules)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-W", "ignore", "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "2 []"
 
 
 class TestBoundShape:

@@ -160,6 +160,26 @@ def test_update_bits_do_not_depend_on_the_cpu_count(small_blocks, monkeypatch, s
             assert misfit == want_misfit
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.3])
+def test_a_stored_solve_holds_one_gram_and_keeps_the_replay_bits(small_blocks, gamma):
+    # a stored pass draws no blocks, so its builder writes every half-sweep's
+    # Gram into one buffer; a replay pass allocates it after freeing its blocks
+    stored, replay = _problem(True, gamma), _problem(False, gamma)
+    grams, bits = {}, {}
+    for problem in (stored, replay):
+        build, grams[problem], bits[problem] = _normal_equations(problem), [], []
+        for side, seed in (("U", 4), ("V", 4), ("U", 5)):
+            grams[problem].append(build(_fixed(problem, side, seed), side)[0])
+            bits[problem].append(grams[problem][-1].tobytes())
+    held, fresh = grams[stored], grams[replay]
+    assert np.shares_memory(held[0], held[1]) and np.shares_memory(held[1], held[2])
+    assert not np.shares_memory(fresh[0], fresh[1])
+    # each Gram written into the buffer is bit for bit the fresh product
+    assert bits[stored] == bits[replay]
+    got = [solve(problem, max_sweeps=4, tol=0.0).X_hat for problem in (stored, replay)]
+    assert got[0].tobytes() == got[1].tobytes()
+
+
 def test_one_operator_pass_per_half_sweep(monkeypatch):
     # spectral init (one adjoint) makes one pass, and every half-sweep makes
     # exactly one; the first also gives the initial objective
