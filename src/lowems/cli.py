@@ -255,11 +255,13 @@ def _sweep_config(args) -> SweepConfig:
         raise UsageError(str(exc)) from None
 
 
-def _cmd_sweep_error(args) -> int:
+def _cmd_sweep(args) -> int:
     cfg = _sweep_config(args)
-    result = run_error_sweep(cfg)
+    error_sweep = args.command == "sweep-error"
+    # called by its global name: perfbench's span replaces cli.run_error_sweep
+    result = run_error_sweep(cfg) if error_sweep else run_sample_sweep(cfg)
     result.to_csv(args.out)
-    if args.diagnostics_out:
+    if error_sweep and args.diagnostics_out:
         write_csv(
             args.diagnostics_out,
             ["sigma2", "strategy", "bound_value", "phi_prime", "empirical", "ratio"],
@@ -269,13 +271,6 @@ def _cmd_sweep_error(args) -> int:
                 for r in theorem_diagnostics(cfg, result)
             ],
         )
-    print(f"wrote {args.out} ({len(result.rows)} rows)")
-    return 0
-
-
-def _cmd_sweep_samples(args) -> int:
-    result = run_sample_sweep(_sweep_config(args))
-    result.to_csv(args.out)
     print(f"wrote {args.out} ({len(result.rows)} rows)")
     return 0
 
@@ -417,9 +412,9 @@ def build_parser() -> _Parser:
     add_seed(slv, required=False)
     slv.set_defaults(func=_cmd_solve)
 
-    for name, func, what in (
-        ("sweep-error", _cmd_sweep_error, "recovery error"),
-        ("sweep-samples", _cmd_sweep_samples, "minimal sampling density"),
+    for name, what in (
+        ("sweep-error", "recovery error"),
+        ("sweep-samples", "minimal sampling density"),
     ):
         sw = sub.add_parser(name, help=f"{what} vs drift level, CSV output")
         add_sizes(sw, "n1", "n2", "rank", "d")
@@ -440,7 +435,7 @@ def build_parser() -> _Parser:
             sw.add_config_option("--p-grid", type=_float_list)
             sw.add_config_option("--success-threshold", type=float, default=0.04)
         add_seed(sw)
-        sw.set_defaults(func=func)
+        sw.set_defaults(func=_cmd_sweep)
 
     rip = sub.add_parser("rip-probe", help="empirical restricted-isometry probe")
     add_sizes(rip, "n1", "n2", "m0")

@@ -74,10 +74,14 @@ RULES = {
 
 def check_settings(**values) -> None:
     """Refuse a setting, or any entry of a tuple or list of them, outside its
-    rule in :data:`RULES`; ``None`` means not given."""
+    rule in :data:`RULES`, and an empty tuple or list; ``None`` means not
+    given."""
     for name, value in values.items():
         rule = RULES[name]
-        for v in value if isinstance(value, (tuple, list)) else (value,):
+        entries = value if isinstance(value, (tuple, list)) else (value,)
+        if not entries:
+            raise ValueError(f"{name} must be nonempty")
+        for v in entries:
             if v is not None and v not in rule:
                 raise ValueError(f"{name} must be {rule}, got {v!r}")
 

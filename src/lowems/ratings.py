@@ -407,8 +407,6 @@ def cross_validate_kappa(
     the smaller kappa.
     """
     kappa_grid = list(kappa_grid)
-    if not kappa_grid:
-        raise ValueError("kappa_grid must be nonempty")
     check_settings(kappa_grid=kappa_grid)
     weights = [optimal_weights(binned.d, kappa) for kappa in kappa_grid]
     path = sorted(range(len(kappa_grid)), key=kappa_grid.__getitem__)

@@ -33,10 +33,9 @@ matmul per drawn piece, run on the thread that drew it, into one buffer the
 builder holds (``m * max(n1, n2) * rank`` floats for ``m`` live
 measurements); the Gram, right-hand side and misfit are each one product of
 it, so no block is produced twice and no half-sweep faults its design in
-again (with stored operators, nor its Gram).  The first half-sweep's
-misfit function also gives the starting objective, so a solve makes one
-pass per half-sweep, plus one for a spectral init.  Replay-mode operators
-never materialize their sensing stack.
+again.  The first half-sweep's misfit function also gives the starting
+objective, so a solve makes one pass per half-sweep, plus one for a
+spectral init.  Replay-mode operators never materialize their sensing stack.
 """
 
 from __future__ import annotations
@@ -229,18 +228,15 @@ def _normal_equations(problem: LowemsProblem) -> Callable:
     weights ``c[i, j] = sum w_t`` and ``b[i, j] = sum w_t * y`` of the live
     bins' observations of entry ``(i, j)``, dense ``(n1, n2)`` arrays summed
     in input order over the operators' ``flat`` positions; for dense sensing,
-    the live bins' ``sqrt(w_t) * y_t`` stacked into one vector ``y``, one
-    design buffer with room for either side's design, and, when every live
-    operator is stored, one buffer for either side's Gram.  Made per solve
-    and not cached: a problem may be solved on two threads at once."""
+    the live bins' ``sqrt(w_t) * y_t`` stacked into one vector ``y`` and one
+    design buffer with room for either side's design.  Made per solve and
+    not cached: a problem may be solved on two threads at once."""
     obs = problem.obs
     live = _live_bins(problem.weights.w, obs.ops, obs.y)
     if obs.variant == "gaussian":
         y = np.concatenate([np.sqrt(w_t) * y_t for w_t, _, y_t in live])
-        k = max(obs.n1, obs.n2) * problem.rank
-        stored = all(op.matrices is not None for _, op, _ in live)
-        gram = np.empty(k * k) if stored else None
-        return partial(_sensing_system, live, np.empty(y.size * k), gram, y)
+        buffer = np.empty(y.size * max(obs.n1, obs.n2) * problem.rank)
+        return partial(_sensing_system, live, buffer, y)
     flat = np.concatenate([op.flat for _, op, _ in live])
     y = np.concatenate([y_t for _, _, y_t in live])
     w = np.concatenate([np.full(op.m, w_t) for w_t, op, _ in live])
@@ -280,8 +276,7 @@ def _sampling_system(
 
 
 def _sensing_system(
-    live: list, buffer: np.ndarray, gram: np.ndarray | None, y: np.ndarray,
-    fixed: np.ndarray, side: str,
+    live: list, buffer: np.ndarray, y: np.ndarray, fixed: np.ndarray, side: str
 ) -> tuple:
     """The stacked normal equations of the dense sensing variant, a batch of
     one ``(k, k)`` system with ``k = n_out * rank``, in one pass over the
@@ -295,10 +290,8 @@ def _sensing_system(
     by the thread that drew the piece, into the bin's rows of ``buffer``.
     The design ``D`` (``y.size * k`` floats) gives the Gram ``D^T D``, the
     right-hand side ``D^T y`` and the candidate's misfit from its explicit
-    residual ``D x - y``.  A stored pass draws no blocks, so its Gram is
-    written into ``gram``, which the builder holds for the whole solve, and
-    no half-sweep faults it in again; a replayed operator's Gram (``gram``
-    is None) is allocated only after the pass has freed its last block.
+    residual ``D x - y``.  The Gram matrix is allocated only after the pass
+    has freed its last block.
     """
     n_out = live[0][1].n2 if side == "V" else live[0][1].n1
     k = n_out * fixed.shape[1]
@@ -320,8 +313,7 @@ def _sensing_system(
         res = design @ x.ravel() - y
         return 0.5 * float(res @ res)
 
-    held = None if gram is None else gram[: k * k].reshape(k, k)
-    return np.matmul(design.T, design, out=held)[None], (design.T @ y)[None], misfit
+    return (design.T @ design)[None], (design.T @ y)[None], misfit
 
 
 def _solve_systems(gram: np.ndarray, rhs: np.ndarray, kind: str) -> tuple[np.ndarray, int]:

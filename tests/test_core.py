@@ -324,3 +324,11 @@ def test_check_settings_reads_each_entry_and_skips_none():
         check_settings(p_grid=[0.1, 2.0])
     with pytest.raises(KeyError):
         check_settings(unknown=1)
+
+
+@pytest.mark.parametrize("name", ["drift_grid", "p_grid", "kappa_grid"])
+@pytest.mark.parametrize("empty", [(), []], ids=["tuple", "list"])
+def test_check_settings_refuses_an_empty_grid_and_skips_none(name, empty):
+    with pytest.raises(ValueError, match=f"^{name} must be nonempty$"):
+        check_settings(**{name: empty})
+    check_settings(**{name: None})
